@@ -1,9 +1,10 @@
 // Ablation E15: schedule-aware asynchronous checkpoint IO.
 //
 // Runs the same two-level (RAM + disk) checkpointed training pass through
-// the synchronous DiskSlotStore and the write-behind/prefetching
-// AsyncDiskSlotStore, under an injected per-spill-op disk latency that
-// stands in for a Waggle node's SD card:
+// AsyncDiskSlotStore used synchronously (sync_disk_store.hpp: flushed after
+// every put, no prefetch) and with its write-behind and prefetch on, under
+// an injected per-spill-op disk latency that stands in for a Waggle node's
+// SD card:
 //
 //   EDGETRAIN_DISK_LATENCY_US=<us per spill write/read>   (CI sets this)
 //
@@ -28,6 +29,7 @@
 #include "models/small_nets.hpp"
 #include "nn/chain_runner.hpp"
 #include "persist/io_latency.hpp"
+#include "sync_disk_store.hpp"
 
 int main() {
   using namespace edgetrain;
@@ -100,7 +102,7 @@ int main() {
   // injected latency: env knob when set, otherwise total IO ~= compute.
   long spill_ops = 0;
   {
-    core::DiskSlotStore probe(schedule.num_slots(), first_disk_slot, dir);
+    bench::SyncDiskStore probe(schedule.num_slots(), first_disk_slot, dir);
     const std::vector<Tensor> grads = run_with(probe);
     if (max_err(grads, reference) != 0.0F) {
       std::printf("FAIL: sync disk gradients differ from RAM reference\n");
@@ -135,7 +137,7 @@ int main() {
 
   float sync_err = 0.0F;
   float async_err = 0.0F;
-  core::DiskSlotStore sync_store(schedule.num_slots(), first_disk_slot, dir);
+  bench::SyncDiskStore sync_store(schedule.num_slots(), first_disk_slot, dir);
   const double sync_s = timed(sync_store, &sync_err);
   // Two staging slots per direction: one buffer absorbs the jitter the
   // other is paying for, so the sweep never stalls in put() and the

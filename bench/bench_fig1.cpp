@@ -49,6 +49,7 @@
 #include "models/small_nets.hpp"
 #include "nn/chain_runner.hpp"
 #include "persist/io_latency.hpp"
+#include "sync_disk_store.hpp"
 #include "tensor/ops.hpp"
 
 namespace {
@@ -298,8 +299,8 @@ std::vector<CodecTiming> compress_wallclock(long latency_us, bool quick) {
     persist::set_disk_latency_us(latency_us);
     CodecTiming row{codec, 1e30, 1e30, 1.0, 0.0F};
     {
-      core::DiskSlotStore store(schedule.num_slots(), first_disk_slot, dir,
-                                codec);
+      bench::SyncDiskStore store(schedule.num_slots(), first_disk_slot, dir,
+                                 codec);
       for (int repeat = 0; repeat < kRepeats; ++repeat) {
         const auto t0 = Clock::now();
         const std::vector<Tensor> grads = run_with(schedule, store);

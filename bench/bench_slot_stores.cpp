@@ -1,13 +1,16 @@
 // Ablation E10: checkpoint storage backends.
 //
-// Runs the same checkpointed training pass through three slot stores and
+// Runs the same checkpointed training pass through the slot stores and
 // reports checkpoint memory, disk traffic, and gradient error relative to
 // full-precision RAM checkpoints:
 //   ram    -- baseline (exact);
-//   disk   -- every non-input slot spilled to files (exact, trades IO);
-//   fp16 / int8 -- lossy checkpoint compression (2x / 4x memory saving).
+//   disk   -- every non-input slot spilled to files, synchronously
+//             (sync_disk_store.hpp; exact, trades IO);
+//   fp16 / int8 -- CompressedSlotStore with the lossy casts (2x / 4x
+//             memory saving).
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <random>
 
@@ -15,10 +18,10 @@
 #include "core/revolve.hpp"
 #include "nn/chain_runner.hpp"
 #include "nn/layers.hpp"
+#include "sync_disk_store.hpp"
 
 int main() {
   using namespace edgetrain;
-  using core::QuantizedSlotStore;
 
   std::mt19937 rng(2024);
   nn::LayerChain chain;
@@ -87,16 +90,18 @@ int main() {
               "disk KiB", "writes", "reads", "grad err");
   report("ram", reference, 0, 0);
 
-  core::DiskSlotStore disk(schedule.num_slots(), 1, "/tmp");
+  // A private directory: a shared one would let concurrent runs overwrite
+  // each other's slot_N.ckpt files.
+  const std::string dir = "/tmp/edgetrain_bench_slot_stores";
+  std::filesystem::create_directories(dir);
+  bench::SyncDiskStore disk(schedule.num_slots(), 1, dir);
   const Run spilled = run_with(disk);
   report("disk", spilled, disk.disk_writes(), disk.disk_reads());
 
-  QuantizedSlotStore half(schedule.num_slots(),
-                          QuantizedSlotStore::Precision::Half);
+  core::CompressedSlotStore half(schedule.num_slots(), core::SlotCodec::Fp16);
   report("fp16", run_with(half), 0, 0);
 
-  QuantizedSlotStore int8(schedule.num_slots(),
-                          QuantizedSlotStore::Precision::Int8);
+  core::CompressedSlotStore int8(schedule.num_slots(), core::SlotCodec::Int8);
   report("int8", run_with(int8), 0, 0);
 
   std::printf("\nfp16 halves and int8 quarters checkpoint RAM; disk spill "

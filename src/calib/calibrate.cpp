@@ -8,7 +8,7 @@
 #include <random>
 #include <thread>
 
-#include "core/slot_store.hpp"
+#include "core/async_slot_store.hpp"
 #include "tensor/convert.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/parallel.hpp"
@@ -187,17 +187,22 @@ struct IoFit {
 void measure_disk(const CalibrationOptions& options, IoFit* write_fit,
                   IoFit* read_fit) {
   std::filesystem::create_directories(options.scratch_dir);
-  core::DiskSlotStore store(/*num_slots=*/1, /*first_disk_slot=*/0,
-                            options.scratch_dir);
+  core::AsyncDiskSlotStore store(/*num_slots=*/1, /*first_disk_slot=*/0,
+                                 options.scratch_dir);
   std::mt19937 rng(13);
 
+  // A write is timed to completion (put + flush); with no replay running
+  // nothing is prefetched, so get() is a blocking read on this thread.
   const auto probe = [&](std::int64_t elems, double* put_secs,
                          double* get_secs) {
     Tensor value = Tensor::randn(Shape{elems}, rng);
     store.put(0, value);  // warm the file and allocator paths
+    store.flush();
     *put_secs = time_per_iteration_seconds(options.min_sample_seconds,
-                                           options.repeats,
-                                           [&] { store.put(0, value); });
+                                           options.repeats, [&] {
+                                             store.put(0, value);
+                                             store.flush();
+                                           });
     *get_secs = time_per_iteration_seconds(
         options.min_sample_seconds, options.repeats, [&] {
           Tensor restored = store.get(0);

@@ -1,7 +1,7 @@
 // edgetrain: asynchronous (write-behind + prefetch) disk checkpointing.
 //
-// With DiskSlotStore every spill blocks the training step, so SD-card
-// latency adds *on top of* the paper's 2*rho*l recompute bound. But the
+// When every spill blocks the training step, SD-card latency adds *on
+// top of* the paper's 2*rho*l recompute bound. But the
 // executor replays a fully known Schedule: every future spill and restore
 // is predictable, which is the classic overlap opportunity of hierarchical
 // checkpointing (multi-level Revolve / out-of-core adjoints). This store
@@ -20,7 +20,7 @@
 //     scans the upcoming Restores and prefetches spilled slots into a
 //     double-buffered staging area while the CPU recomputes the sweep.
 //
-// Failure semantics stay as loud as the synchronous store's: a failed or
+// Failure semantics stay as loud as a synchronous store's: a failed or
 // corrupted background write/read is captured as an exception_ptr and
 // re-thrown by the get() that owns the slot (never swallowed); checksum
 // verification runs on every byte that comes back from disk, prefetched or

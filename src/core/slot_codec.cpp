@@ -1,10 +1,13 @@
 #include "core/slot_codec.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
 #include "persist/crc32.hpp"
 #include "tensor/parallel.hpp"
+#include "tensor/quant.hpp"
 #include "tensor/sparse.hpp"
 #include "tensor/workspace.hpp"
 
@@ -396,6 +399,61 @@ Tensor decode_bitmap(const std::string& who, const Shape& shape,
   return out;
 }
 
+// --------------------------------------------------------------------------
+// Int8 blob layout (shape travels out of band with the store):
+//
+//   bytes 0..3      f32 scale (LE), finite and > 0
+//   byte 4          u8 zero point
+//   bytes 5..       n affine u8 codes, real = scale * (q - zero point)
+//
+// The parameters come from tensor/quant.hpp over the tensor's own
+// [min, max], widened to include 0.0 so post-ReLU zeros restore exactly.
+// --------------------------------------------------------------------------
+
+constexpr std::size_t kInt8HeaderBytes = sizeof(float) + 1;
+
+std::vector<std::uint8_t> encode_int8(const Tensor& value,
+                                      convert::Threading threading) {
+  const std::int64_t n = value.numel();
+  const float* src = value.data();
+  quant::QuantParams params;
+  if (n > 0) {
+    const auto [lo, hi] = std::minmax_element(src, src + n);
+    params = quant::choose_u8_params(*lo, *hi);
+  }
+  if (!std::isfinite(params.scale)) {
+    // decode() rejects such a blob, so refuse to store one.
+    throw std::runtime_error(
+        "SlotCodec int8: activation range is not finite; cannot quantise");
+  }
+  std::vector<std::uint8_t> blob(kInt8HeaderBytes +
+                                 static_cast<std::size_t>(n));
+  std::memcpy(blob.data(), &params.scale, sizeof(float));
+  blob[sizeof(float)] = static_cast<std::uint8_t>(params.zero_point);
+  quant::quantize_u8(src, blob.data() + kInt8HeaderBytes, n, params,
+                     threading);
+  return blob;
+}
+
+Tensor decode_int8(const std::string& who, const Shape& shape,
+                   const std::uint8_t* data, std::size_t size,
+                   convert::Threading threading) {
+  const std::int64_t n = shape.numel();
+  if (size != kInt8HeaderBytes + static_cast<std::size_t>(n)) {
+    corrupt(who, "int8 blob size mismatch");
+  }
+  quant::QuantParams params;
+  std::memcpy(&params.scale, data, sizeof(float));
+  params.zero_point = data[sizeof(float)];
+  if (!(params.scale > 0.0F) || !std::isfinite(params.scale)) {
+    corrupt(who, "int8 scale is not finite and positive");
+  }
+  Tensor out = Tensor::empty(shape);
+  quant::dequantize_u8(data + kInt8HeaderBytes, out.data(), n, params,
+                       threading);
+  return out;
+}
+
 }  // namespace
 
 std::string to_string(SlotCodec codec) {
@@ -406,6 +464,7 @@ std::string to_string(SlotCodec codec) {
     case SlotCodec::Bf16: return "bf16";
     case SlotCodec::Bitmap: return "bitmap";
     case SlotCodec::BitmapFp16: return "bitmap-fp16";
+    case SlotCodec::Int8: return "int8";
   }
   return "?";
 }
@@ -417,6 +476,7 @@ std::optional<SlotCodec> parse_slot_codec(std::string_view name) {
   if (name == "bf16") return SlotCodec::Bf16;
   if (name == "bitmap") return SlotCodec::Bitmap;
   if (name == "bitmap-fp16") return SlotCodec::BitmapFp16;
+  if (name == "int8") return SlotCodec::Int8;
   return std::nullopt;
 }
 
@@ -430,6 +490,8 @@ double planning_bytes_ratio(SlotCodec codec) {
     case SlotCodec::Bf16:
     case SlotCodec::BitmapFp16:
       return 0.5;
+    case SlotCodec::Int8:
+      return 0.25;
   }
   return 1.0;
 }
@@ -446,6 +508,7 @@ std::size_t max_encoded_bytes(SlotCodec codec, std::int64_t numel) {
       return n * sizeof(std::uint16_t);
     case SlotCodec::Bitmap: return 1 + n * sizeof(float);
     case SlotCodec::BitmapFp16: return 1 + n * sizeof(std::uint16_t);
+    case SlotCodec::Int8: return kInt8HeaderBytes + n;
   }
   return n * sizeof(float);
 }
@@ -478,6 +541,8 @@ std::vector<std::uint8_t> encode(SlotCodec codec, const Tensor& value,
       return encode_bitmap(value, /*halve=*/false, threading);
     case SlotCodec::BitmapFp16:
       return encode_bitmap(value, /*halve=*/true, threading);
+    case SlotCodec::Int8:
+      return encode_int8(value, threading);
   }
   throw std::logic_error("SlotCodec: unknown codec");
 }
@@ -516,6 +581,8 @@ Tensor decode(SlotCodec codec, const std::string& who, const Shape& shape,
                            threading);
     case SlotCodec::BitmapFp16:
       return decode_bitmap(who, shape, data, size, /*halve=*/true, threading);
+    case SlotCodec::Int8:
+      return decode_int8(who, shape, data, size, threading);
   }
   throw std::logic_error("SlotCodec: unknown codec");
 }

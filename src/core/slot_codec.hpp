@@ -26,6 +26,8 @@
 //               payload + 1 byte (plaintext semantics, like Lossless raw).
 //   BitmapFp16 -- same bitmap, nonzeros cast to binary16; falls back to a
 //               dense fp16 cast, bounding the blob at payload/2 + 1.
+//   Int8     -- per-tensor affine u8 (tensor/quant.hpp), 1 byte/elem behind
+//               a 5-byte header (f32 scale, u8 zero point): payload/4 + 5.
 //
 // The lossy casts change recomputed forwards by the cast's rounding error;
 // tests/core/ validates end-to-end gradients against the gradcheck
@@ -54,18 +56,20 @@
 namespace edgetrain::core {
 
 enum class SlotCodec : std::uint8_t {
-  None, Lossless, Fp16, Bf16, Bitmap, BitmapFp16
+  None, Lossless, Fp16, Bf16, Bitmap, BitmapFp16, Int8
 };
 
 [[nodiscard]] std::string to_string(SlotCodec codec);
 
 /// Parses "none" | "lossless" | "fp16" | "bf16" | "bitmap" | "bitmap-fp16"
-/// (the --compress flag vocabulary); nullopt on anything else.
+/// | "int8" (the --compress flag vocabulary); nullopt on anything else.
 [[nodiscard]] std::optional<SlotCodec> parse_slot_codec(std::string_view name);
 
 /// Guaranteed worst-case encoded bytes / plaintext bytes for planning:
 /// None, Lossless and Bitmap 1.0 (data-dependent; their raw fallbacks
-/// bound them at plaintext), Fp16/Bf16/BitmapFp16 exactly 0.5. The
+/// bound them at plaintext), Fp16/Bf16/BitmapFp16 exactly 0.5, Int8 0.25.
+/// Per-blob headers (Lossless/Bitmap's 1-byte mode, Int8's 5-byte scale and
+/// zero point) are constant per slot and left out of the ratio. The
 /// data-dependent codecs usually land far below their worst case on real
 /// activations -- the slot stores report the achieved ratio per slot
 /// (SlotStore::measured_slot_ratio) so planners can re-solve with measured

@@ -1,17 +1,9 @@
 #include "core/slot_store.hpp"
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <stdexcept>
 
-#include "core/spill_io.hpp"
 #include "tensor/alloc.hpp"
-#include "tensor/convert.hpp"
 #include "tensor/guards.hpp"
-#include "tensor/workspace.hpp"
 
 namespace edgetrain::core {
 
@@ -87,120 +79,6 @@ std::size_t RamSlotStore::resident_bytes() const {
 }
 
 // ---------------------------------------------------------------------------
-// DiskSlotStore
-// ---------------------------------------------------------------------------
-
-DiskSlotStore::DiskSlotStore(int num_slots, int first_disk_slot,
-                             std::string directory, SlotCodec codec)
-    : first_disk_slot_(first_disk_slot),
-      directory_(std::move(directory)),
-      codec_(codec),
-      ram_(static_cast<std::size_t>(num_slots)),
-      disk_shapes_(static_cast<std::size_t>(num_slots)),
-      disk_crcs_(static_cast<std::size_t>(num_slots), 0),
-      disk_payload_bytes_(static_cast<std::size_t>(num_slots), 0),
-      on_disk_(static_cast<std::size_t>(num_slots), false),
-      slot_ratios_(static_cast<std::size_t>(num_slots), 1.0) {}
-
-DiskSlotStore::~DiskSlotStore() {
-  for (std::int32_t slot = 0; slot < static_cast<std::int32_t>(on_disk_.size());
-       ++slot) {
-    if (on_disk_[static_cast<std::size_t>(slot)]) {
-      std::remove(path_for(slot).c_str());
-    }
-  }
-}
-
-std::string DiskSlotStore::path_for(std::int32_t slot) const {
-  return directory_ + "/slot_" + std::to_string(slot) + ".ckpt";
-}
-
-void DiskSlotStore::put(std::int32_t slot, const Tensor& value) {
-  if (!is_disk_slot(slot)) {
-    ram_.at(static_cast<std::size_t>(slot)) = value;
-    return;
-  }
-  const auto idx = static_cast<std::size_t>(slot);
-  std::uint32_t crc = 0;
-  std::size_t payload = 0;
-  if (codec_ == SlotCodec::None) {
-    crc = spill::write_spill("DiskSlotStore", path_for(slot), value);
-    payload = value.bytes();
-  } else {
-    const std::vector<std::uint8_t> blob = codec::encode(codec_, value);
-    crc = spill::write_spill_blob("DiskSlotStore", path_for(slot),
-                                  blob.data(), blob.size());
-    payload = blob.size();
-  }
-  if (on_disk_.at(idx)) disk_bytes_ -= disk_payload_bytes_[idx];
-  disk_shapes_[idx] = value.shape();
-  disk_crcs_[idx] = crc;
-  disk_payload_bytes_[idx] = payload;
-  on_disk_[idx] = true;
-  disk_bytes_ += payload;
-  plain_seen_ += value.bytes();
-  encoded_seen_ += payload;
-  if (value.bytes() > 0) {
-    slot_ratios_[idx] = static_cast<double>(payload) /
-                        static_cast<double>(value.bytes());
-  }
-  ++writes_;
-}
-
-Tensor DiskSlotStore::get(std::int32_t slot) {
-  if (!is_disk_slot(slot)) {
-    Tensor& held = ram_.at(static_cast<std::size_t>(slot));
-    if (!held.defined()) empty_slot(slot);
-    return held;
-  }
-  const auto idx = static_cast<std::size_t>(slot);
-  if (!on_disk_.at(idx)) empty_slot(slot);
-  Tensor out;
-  if (codec_ == SlotCodec::None) {
-    out = spill::read_spill("DiskSlotStore", path_for(slot),
-                            disk_shapes_[idx], disk_crcs_[idx]);
-  } else {
-    // The encoded image passes through the arena (no heap per restore),
-    // then decodes with the parallel convert kernels on this thread.
-    const std::size_t size = disk_payload_bytes_[idx];
-    WorkspaceScope scope(Workspace::tls());
-    auto* encoded = reinterpret_cast<std::uint8_t*>(Workspace::tls().alloc(
-        static_cast<std::int64_t>((size + sizeof(float) - 1) /
-                                  sizeof(float))));
-    spill::read_spill_blob("DiskSlotStore", path_for(slot), size,
-                           disk_crcs_[idx], encoded);
-    out = codec::decode(codec_, "DiskSlotStore", disk_shapes_[idx], encoded,
-                        size);
-  }
-  ++reads_;
-  return out;
-}
-
-void DiskSlotStore::drop(std::int32_t slot) {
-  if (!is_disk_slot(slot)) {
-    ram_.at(static_cast<std::size_t>(slot)).reset();
-    return;
-  }
-  const auto idx = static_cast<std::size_t>(slot);
-  if (on_disk_.at(idx)) {
-    disk_bytes_ -= disk_payload_bytes_[idx];
-    disk_payload_bytes_[idx] = 0;
-    on_disk_[idx] = false;
-    std::remove(path_for(slot).c_str());
-  }
-}
-
-std::size_t DiskSlotStore::resident_bytes() const {
-  std::size_t total = 0;
-  for (const Tensor& t : ram_) {
-    if (t.defined()) total += t.bytes();
-  }
-  return total;
-}
-
-std::size_t DiskSlotStore::external_bytes() const { return disk_bytes_; }
-
-// ---------------------------------------------------------------------------
 // CompressedSlotStore
 // ---------------------------------------------------------------------------
 
@@ -259,157 +137,6 @@ void CompressedSlotStore::drop(std::int32_t slot) {
 std::size_t CompressedSlotStore::resident_bytes() const {
   std::size_t total = 0;
   for (const EncodedSlot& slot : slots_) total += slot.tracked;
-  return total;
-}
-
-// ---------------------------------------------------------------------------
-// Half conversions
-// ---------------------------------------------------------------------------
-
-std::uint16_t float_to_half(float value) {
-  const std::uint32_t bits = std::bit_cast<std::uint32_t>(value);
-  const std::uint32_t sign = (bits >> 16) & 0x8000U;
-  const std::int32_t exponent =
-      static_cast<std::int32_t>((bits >> 23) & 0xFF) - 127 + 15;
-  std::uint32_t mantissa = bits & 0x7FFFFFU;
-
-  if (exponent >= 31) {  // overflow or inf/nan
-    if (((bits >> 23) & 0xFF) == 0xFF && mantissa != 0) {
-      return static_cast<std::uint16_t>(sign | 0x7E00U);  // NaN
-    }
-    return static_cast<std::uint16_t>(sign | 0x7C00U);  // +-inf
-  }
-  if (exponent <= 0) {  // subnormal or zero
-    if (exponent < -10) return static_cast<std::uint16_t>(sign);
-    mantissa |= 0x800000U;
-    const int shift = 14 - exponent;
-    std::uint32_t half_mantissa = mantissa >> shift;
-    // round to nearest even
-    const std::uint32_t rest = mantissa & ((1U << shift) - 1U);
-    const std::uint32_t halfway = 1U << (shift - 1);
-    if (rest > halfway || (rest == halfway && (half_mantissa & 1U))) {
-      ++half_mantissa;
-    }
-    return static_cast<std::uint16_t>(sign | half_mantissa);
-  }
-  std::uint32_t half =
-      sign | (static_cast<std::uint32_t>(exponent) << 10) | (mantissa >> 13);
-  const std::uint32_t rest = mantissa & 0x1FFFU;
-  if (rest > 0x1000U || (rest == 0x1000U && (half & 1U))) ++half;
-  return static_cast<std::uint16_t>(half);
-}
-
-float half_to_float(std::uint16_t value) {
-  const std::uint32_t sign = (static_cast<std::uint32_t>(value) & 0x8000U)
-                             << 16;
-  const std::uint32_t exponent = (value >> 10) & 0x1FU;
-  const std::uint32_t mantissa = value & 0x3FFU;
-  std::uint32_t bits;
-  if (exponent == 0) {
-    if (mantissa == 0) {
-      bits = sign;  // zero
-    } else {        // subnormal: normalise
-      int e = -1;
-      std::uint32_t m = mantissa;
-      do {
-        ++e;
-        m <<= 1;
-      } while ((m & 0x400U) == 0);
-      bits = sign | (static_cast<std::uint32_t>(127 - 15 - e) << 23) |
-             ((m & 0x3FFU) << 13);
-    }
-  } else if (exponent == 31) {
-    bits = sign | 0x7F800000U | (mantissa << 13);  // inf/nan
-  } else {
-    bits = sign | ((exponent - 15 + 127) << 23) | (mantissa << 13);
-  }
-  return std::bit_cast<float>(bits);
-}
-
-// ---------------------------------------------------------------------------
-// QuantizedSlotStore
-// ---------------------------------------------------------------------------
-
-QuantizedSlotStore::QuantizedSlotStore(int num_slots, Precision precision)
-    : precision_(precision),
-      slots_(static_cast<std::size_t>(num_slots)) {}
-
-QuantizedSlotStore::~QuantizedSlotStore() {
-  for (Encoded& slot : slots_) release(slot);
-}
-
-void QuantizedSlotStore::release(Encoded& slot) {
-  if (slot.tracked > 0) {
-    MemoryTracker::instance().on_free(slot.tracked);
-    slot.tracked = 0;
-  }
-  slot.half.clear();
-  slot.half.shrink_to_fit();
-  slot.bytes.clear();
-  slot.bytes.shrink_to_fit();
-  slot.occupied = false;
-}
-
-void QuantizedSlotStore::put(std::int32_t slot, const Tensor& value) {
-  Encoded& encoded = slots_.at(static_cast<std::size_t>(slot));
-  release(encoded);
-  encoded.shape = value.shape();
-  const std::int64_t n = value.numel();
-  const float* data = value.data();
-
-  if (precision_ == Precision::Half) {
-    encoded.half.resize(static_cast<std::size_t>(n));
-    // Bulk SIMD kernel; bit-identical to the scalar float_to_half
-    // reference (property-tested in slot_codec_test).
-    convert::fp32_to_fp16(data, encoded.half.data(), n);
-    encoded.tracked = static_cast<std::size_t>(n) * 2;
-  } else {
-    float lo = data[0];
-    float hi = data[0];
-    for (std::int64_t i = 1; i < n; ++i) {
-      lo = std::min(lo, data[i]);
-      hi = std::max(hi, data[i]);
-    }
-    const float range = std::max(hi - lo, 1e-12F);
-    encoded.scale = range / 255.0F;
-    encoded.zero = lo;
-    encoded.bytes.resize(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float q = (data[i] - lo) / encoded.scale;
-      encoded.bytes[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(
-          std::clamp(std::lround(q), 0L, 255L));
-    }
-    encoded.tracked = static_cast<std::size_t>(n);
-  }
-  MemoryTracker::instance().on_alloc(encoded.tracked);
-  encoded.occupied = true;
-}
-
-Tensor QuantizedSlotStore::get(std::int32_t slot) {
-  Encoded& encoded = slots_.at(static_cast<std::size_t>(slot));
-  if (!encoded.occupied) empty_slot(slot);
-  Tensor out = Tensor::empty(encoded.shape);
-  float* data = out.data();
-  const std::int64_t n = out.numel();
-  if (precision_ == Precision::Half) {
-    convert::fp16_to_fp32(encoded.half.data(), data, n);
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) {
-      data[i] = encoded.zero +
-                encoded.scale *
-                    static_cast<float>(encoded.bytes[static_cast<std::size_t>(i)]);
-    }
-  }
-  return out;
-}
-
-void QuantizedSlotStore::drop(std::int32_t slot) {
-  release(slots_.at(static_cast<std::size_t>(slot)));
-}
-
-std::size_t QuantizedSlotStore::resident_bytes() const {
-  std::size_t total = 0;
-  for (const Encoded& slot : slots_) total += slot.tracked;
   return total;
 }
 

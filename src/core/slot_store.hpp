@@ -1,21 +1,21 @@
 // edgetrain: checkpoint slot storage backends.
 //
-// The executor keeps checkpointed activations in a SlotStore. Four
-// backends make the paper's memory story physical:
-//   * RamSlotStore      -- shares tensor handles (zero copy; the default);
-//   * DiskSlotStore     -- spills designated slots to files (the SD card of
-//                          a Waggle node; pairs with core/disk_revolve.hpp),
-//                          optionally through a slot codec, which shrinks
-//                          the SD-card bytes per spill;
+// The executor keeps checkpointed activations in a SlotStore. Three
+// backends cover the three places the paper's memory story puts a slot:
+//   * RamSlotStore        -- shares tensor handles (zero copy; the default);
 //   * CompressedSlotStore -- keeps slots in RAM as codec blobs
-//                          (core/slot_codec.hpp): lossless byte-plane RLE
-//                          (bit-exact restores) or fp16/bf16 casts (half
-//                          the bytes, gradcheck-tolerance error), so the
-//                          planner fits more checkpoints per byte budget;
-//   * QuantizedSlotStore-- stores slots at reduced precision (fp16 or
-//                          affine int8), halving/quartering checkpoint
-//                          memory at a small, measurable gradient error
-//                          (bench_slot_stores quantifies it).
+//                            (core/slot_codec.hpp): bit-exact lossless or
+//                            bitmap codecs, or fp16/bf16/int8 casts (half or
+//                            a quarter of the bytes, at a small, measurable
+//                            gradient error), so the planner fits more
+//                            checkpoints per byte budget;
+//   * AsyncDiskSlotStore  -- (core/async_slot_store.hpp) spills designated
+//                            slots to files (the SD card of a Waggle node;
+//                            pairs with core/disk_revolve.hpp), optionally
+//                            through a slot codec, with write-behind and
+//                            schedule-driven prefetch. Calling flush()
+//                            after every put and not forwarding the replay
+//                            lookahead gives fully synchronous IO.
 // Backends report resident (RAM) and external (disk) bytes so experiments
 // can account for both tiers.
 #pragma once
@@ -97,77 +97,6 @@ class RamSlotStore final : public SlotStore {
   std::vector<Tensor> slots_;
 };
 
-/// Slots below `first_disk_slot` stay in RAM; the rest round-trip through
-/// files in `directory` (created by the caller). File IO errors throw.
-/// Every spill is checksummed on put and verified on get, so a truncated
-/// or bit-rotted spill file raises a descriptive std::runtime_error
-/// instead of feeding garbage activations back into training. Put and get
-/// block on the file IO; AsyncDiskSlotStore (core/async_slot_store.hpp)
-/// overlaps the same format with recompute. Serialisation runs through the
-/// calling thread's persistent Workspace arena (core/spill_io.hpp): zero
-/// heap allocation per spill in steady state.
-class DiskSlotStore final : public SlotStore {
- public:
-  /// With a codec other than SlotCodec::None, spilled slots are encoded on
-  /// put (parallel convert kernels on the calling thread) and decoded on
-  /// get; external_bytes() then reports the *encoded* footprint -- the
-  /// quantity the SD card actually stores.
-  DiskSlotStore(int num_slots, int first_disk_slot, std::string directory,
-                SlotCodec codec = SlotCodec::None);
-  ~DiskSlotStore() override;
-  void put(std::int32_t slot, const Tensor& value) override;
-  [[nodiscard]] Tensor get(std::int32_t slot) override;
-  void drop(std::int32_t slot) override;
-  [[nodiscard]] std::size_t resident_bytes() const override;
-  [[nodiscard]] std::size_t external_bytes() const override;
-
-  [[nodiscard]] std::int64_t disk_writes() const noexcept { return writes_; }
-  [[nodiscard]] std::int64_t disk_reads() const noexcept { return reads_; }
-  [[nodiscard]] SlotCodec codec() const noexcept { return codec_; }
-
-  /// Cumulative plaintext vs encoded bytes over every spilled put; their
-  /// ratio is the measured compression on real activations (1.0 when no
-  /// codec or nothing spilled yet).
-  [[nodiscard]] std::size_t plain_bytes_seen() const noexcept {
-    return plain_seen_;
-  }
-  [[nodiscard]] std::size_t encoded_bytes_seen() const noexcept {
-    return encoded_seen_;
-  }
-  [[nodiscard]] double measured_ratio() const noexcept {
-    return plain_seen_ == 0 ? 1.0
-                            : static_cast<double>(encoded_seen_) /
-                                  static_cast<double>(plain_seen_);
-  }
-
-  /// Encoded/plaintext ratio of the last spill into @p slot (1.0 for RAM
-  /// slots and slots never spilled).
-  [[nodiscard]] double measured_slot_ratio(std::int32_t slot) const override {
-    return slot_ratios_.at(static_cast<std::size_t>(slot));
-  }
-
- private:
-  [[nodiscard]] std::string path_for(std::int32_t slot) const;
-  [[nodiscard]] bool is_disk_slot(std::int32_t slot) const {
-    return slot >= first_disk_slot_;
-  }
-
-  int first_disk_slot_;
-  std::string directory_;
-  SlotCodec codec_;
-  std::vector<Tensor> ram_;             // RAM tier
-  std::vector<Shape> disk_shapes_;      // shape per spilled slot
-  std::vector<std::uint32_t> disk_crcs_;  // payload CRC32 per spilled slot
-  std::vector<std::size_t> disk_payload_bytes_;  // on-disk payload per slot
-  std::vector<bool> on_disk_;
-  std::vector<double> slot_ratios_;  // last measured ratio per slot
-  std::size_t disk_bytes_ = 0;
-  std::size_t plain_seen_ = 0;
-  std::size_t encoded_seen_ = 0;
-  std::int64_t writes_ = 0;
-  std::int64_t reads_ = 0;
-};
-
 namespace detail {
 /// Guards-only: poisons a buffer this store is releasing, iff @p held is
 /// the sole owner (poisoning a shared buffer would corrupt a live handle).
@@ -234,44 +163,5 @@ class CompressedSlotStore final : public SlotStore {
   std::size_t plain_seen_ = 0;
   std::size_t encoded_seen_ = 0;
 };
-
-/// Stores checkpoints at reduced precision. The decoded tensor differs
-/// from the original by quantisation error; recomputed forwards then run
-/// from the approximate state (lossy checkpointing).
-class QuantizedSlotStore final : public SlotStore {
- public:
-  enum class Precision : std::uint8_t {
-    Half,  ///< IEEE binary16 round-to-nearest (2 bytes/element)
-    Int8,  ///< per-tensor affine quantisation   (1 byte/element)
-  };
-
-  QuantizedSlotStore(int num_slots, Precision precision);
-  ~QuantizedSlotStore() override;
-  void put(std::int32_t slot, const Tensor& value) override;
-  [[nodiscard]] Tensor get(std::int32_t slot) override;
-  void drop(std::int32_t slot) override;
-  [[nodiscard]] std::size_t resident_bytes() const override;
-  [[nodiscard]] std::size_t external_bytes() const override { return 0; }
-
- private:
-  struct Encoded {
-    Shape shape;
-    std::vector<std::uint16_t> half;  // Precision::Half payload
-    std::vector<std::uint8_t> bytes;  // Precision::Int8 payload
-    float scale = 1.0F;               // Int8 affine parameters
-    float zero = 0.0F;
-    bool occupied = false;
-    std::size_t tracked = 0;          // bytes registered with the tracker
-  };
-
-  void release(Encoded& slot);
-
-  Precision precision_;
-  std::vector<Encoded> slots_;
-};
-
-/// IEEE 754 binary16 conversions (round-to-nearest-even), exposed for tests.
-[[nodiscard]] std::uint16_t float_to_half(float value);
-[[nodiscard]] float half_to_float(std::uint16_t value);
 
 }  // namespace edgetrain::core

@@ -5,9 +5,9 @@
 //   "ETSP" | u32 version | u32 payload CRC-32 | u32 rank | i64 dims[4]
 //   float32 payload, row-major                              (48-byte header)
 //
-// DiskSlotStore and AsyncDiskSlotStore both read and write this format, so
-// the fault-injection tests (bit flips, truncation) exercise one code path
-// and the async store's files stay inspectable with the same tools. Three
+// AsyncDiskSlotStore reads and writes this format on its IO thread and on
+// its blocking-read path alike, so the fault-injection tests (bit flips,
+// truncation) exercise one code path whichever way a restore is served. Three
 // properties matter on the SD-card path:
 //
 //   * zero steady-state heap allocation -- the file image is assembled in

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/async_slot_store.hpp"
 #include "core/periodic.hpp"
 #include "core/revolve.hpp"
 #include "core/sequential.hpp"
@@ -35,15 +36,15 @@ std::unique_ptr<core::SlotStore> build_store(const core::Schedule& schedule,
     case SlotBackend::Ram:
       return std::make_unique<core::RamSlotStore>(schedule.num_slots());
     case SlotBackend::DiskSpill:
-      return std::make_unique<core::DiskSlotStore>(
+      return std::make_unique<core::AsyncDiskSlotStore>(
           schedule.num_slots(), /*first_disk_slot=*/1,
           options.spill_directory);
     case SlotBackend::Fp16:
-      return std::make_unique<core::QuantizedSlotStore>(
-          schedule.num_slots(), core::QuantizedSlotStore::Precision::Half);
+      return std::make_unique<core::CompressedSlotStore>(
+          schedule.num_slots(), core::SlotCodec::Fp16);
     case SlotBackend::Int8:
-      return std::make_unique<core::QuantizedSlotStore>(
-          schedule.num_slots(), core::QuantizedSlotStore::Precision::Int8);
+      return std::make_unique<core::CompressedSlotStore>(
+          schedule.num_slots(), core::SlotCodec::Int8);
   }
   throw std::invalid_argument("Trainer: unknown backend");
 }

@@ -1,7 +1,7 @@
 // edgetrain: CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 //
 // Integrity check for every durable artefact: trainer snapshots and
-// DiskSlotStore spill files. Header-only so core can verify spill files
+// AsyncDiskSlotStore spill files. Header-only so core can verify spill files
 // without a persist link dependency. Incremental: feed chunks through
 // crc32_update to checksum streamed writes without buffering.
 #pragma once

@@ -7,10 +7,11 @@
 //
 //   EDGETRAIN_DISK_LATENCY_US=<microseconds per spill write/read>
 //
-// Both DiskSlotStore and AsyncDiskSlotStore route every spill-file write
-// and read through apply_disk_latency() (see core/spill_io.cpp), so the
-// same knob throttles the synchronous and the overlapped path identically
-// -- the honest comparison bench_async_io is built on. Tests and benches
+// AsyncDiskSlotStore routes every spill-file write and read through
+// apply_disk_latency() (see core/spill_io.cpp), so the same knob throttles
+// the store used synchronously (flush after every put, no prefetch) and
+// overlapped identically -- the honest comparison bench_async_io is built
+// on. Tests and benches
 // can override programmatically with set_disk_latency_us(), which beats
 // the environment. Default (unset/0) is a no-op: production pays nothing.
 //

@@ -34,8 +34,8 @@ constexpr std::int64_t kGrain = 1 << 15;
 // including gradual underflow, so the loop bodies contain only integer ops,
 // one multiply/add, and selects -- exactly what the auto-vectoriser turns
 // into mask/blend code. Bitwise equivalence with the explicit-rounding
-// reference (core::float_to_half/half_to_float) is property-tested
-// exhaustively in tests/core/slot_codec_test.cpp.
+// reference kept in tests/core/slot_codec_test.cpp is property-tested
+// exhaustively there.
 // ---------------------------------------------------------------------------
 
 inline std::uint16_t encode_half(float value) noexcept {

@@ -10,8 +10,8 @@
 // parallel_for over cache-friendly grains.
 //
 //   * fp32 <-> IEEE 754 binary16, round-to-nearest-even. Bit-identical to
-//     the scalar reference core::float_to_half/half_to_float (NaNs collapse
-//     to the same sign-preserving quiet NaN 0x7E00); property-tested
+//     the explicit-rounding scalar reference in tests/core/slot_codec_test
+//     (NaNs collapse to the same sign-preserving quiet NaN 0x7E00); tested
 //     exhaustively over all 2^16 half patterns and against the reference
 //     on random and adversarial floats.
 //   * fp32 <-> bfloat16, round-to-nearest-even truncation (NaNs quieted).

@@ -1,5 +1,5 @@
 // AsyncDiskSlotStore: write-behind spills, prefetched restores, and the
-// failure paths that must stay as loud as the synchronous store's. The
+// failure paths that must stay as loud as a blocking read's. The
 // concurrency tests are written to run clean under TSan (tsan CI job);
 // injected IO latency and faults go through AsyncDiskSlotStoreOptions so
 // each test controls its own timing instead of sleeping and hoping.
@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <random>
 #include <thread>
@@ -21,18 +22,12 @@
 #include "nn/layers.hpp"
 #include "persist/fault.hpp"
 #include "tensor/ops.hpp"
+#include "test_dir.hpp"
 
 namespace edgetrain::core {
 namespace {
 
-/// Per-test spill directory: async tests run in their own binary and may
-/// execute concurrently with slot_store_test under `ctest -j`, so sharing
-/// TempDir()'s flat slot_N.ckpt namespace would race on files.
-std::string test_dir(const std::string& name) {
-  const std::string dir = std::string(::testing::TempDir()) + "/async_" + name;
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+using test::test_dir;
 
 void sleep_ms(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
@@ -40,7 +35,8 @@ void sleep_ms(int ms) {
 
 TEST(AsyncDiskSlotStore, RoundTripsRamAndDiskSlots) {
   std::mt19937 rng(7);
-  AsyncDiskSlotStore store(4, /*first_disk_slot=*/2, test_dir("roundtrip"));
+  AsyncDiskSlotStore store(4, /*first_disk_slot=*/2,
+                           test_dir("async_roundtrip"));
   Tensor ram_tensor = Tensor::randn(Shape{2, 3}, rng);
   Tensor disk_tensor = Tensor::randn(Shape{4, 5}, rng);
   store.put(0, ram_tensor);
@@ -67,7 +63,7 @@ TEST(AsyncDiskSlotStore, GetBeforeFlushIsServedFromStagingWithoutDiskRead) {
   options.io_fault = [](std::int32_t, bool is_write) {
     if (is_write) sleep_ms(30);  // hold the write in flight
   };
-  AsyncDiskSlotStore store(2, 0, test_dir("writebehind"), options);
+  AsyncDiskSlotStore store(2, 0, test_dir("async_writebehind"), options);
   Tensor t = Tensor::randn(Shape{32}, rng);
   store.put(0, t);
   Tensor back = store.get(0);  // while the background write still runs
@@ -87,7 +83,7 @@ TEST(AsyncDiskSlotStore, PutReturnsBeforeTheWriteCompletes) {
     write_started = true;
     while (!write_released) sleep_ms(1);
   };
-  AsyncDiskSlotStore store(1, 0, test_dir("nonblocking"), options);
+  AsyncDiskSlotStore store(1, 0, test_dir("async_nonblocking"), options);
   store.put(0, Tensor::zeros(Shape{16}));  // must not wait for the write
   EXPECT_EQ(store.disk_writes(), 0);
   write_released = true;
@@ -104,7 +100,7 @@ TEST(AsyncDiskSlotStore, StagingBudgetBackPressuresPut) {
   options.io_fault = [](std::int32_t, bool is_write) {
     if (is_write) sleep_ms(5);
   };
-  AsyncDiskSlotStore store(2, 0, test_dir("backpressure"), options);
+  AsyncDiskSlotStore store(2, 0, test_dir("async_backpressure"), options);
   store.put(0, Tensor::zeros(Shape{64}));
   store.put(1, Tensor::zeros(Shape{64}));
   EXPECT_GE(store.disk_writes(), 1);
@@ -119,7 +115,7 @@ TEST(AsyncDiskSlotStore, ResidentBytesChargesStagedWrites) {
     if (!is_write) return;
     while (!release) sleep_ms(1);
   };
-  AsyncDiskSlotStore store(1, 0, test_dir("staging_ram"), options);
+  AsyncDiskSlotStore store(1, 0, test_dir("async_staging_ram"), options);
   Tensor t = Tensor::zeros(Shape{128});
   store.put(0, t);
   // The spill has been accepted but not flushed: its bytes are still RAM
@@ -138,7 +134,7 @@ TEST(AsyncDiskSlotStore, FailedBackgroundWriteRethrowsOnTheOwningGet) {
       throw std::runtime_error("injected write failure on slot 1");
     }
   };
-  AsyncDiskSlotStore store(2, 0, test_dir("write_fail"), options);
+  AsyncDiskSlotStore store(2, 0, test_dir("async_write_fail"), options);
   Tensor ok = Tensor::zeros(Shape{8});
   store.put(0, ok);
   store.put(1, Tensor::zeros(Shape{8}));
@@ -165,7 +161,7 @@ TEST(AsyncDiskSlotStore, FailedBackgroundWriteRethrowsOnTheOwningGet) {
 
 TEST(AsyncDiskSlotStore, PrefetchedBitFlipRaisesDescriptiveChecksumError) {
   std::mt19937 rng(29);
-  const std::string dir = test_dir("bitflip");
+  const std::string dir = test_dir("async_bitflip");
   AsyncDiskSlotStore store(2, 0, dir);
   Tensor t = Tensor::randn(Shape{16, 16}, rng);
   store.put(0, t);
@@ -199,7 +195,7 @@ TEST(AsyncDiskSlotStore, PrefetchedBitFlipRaisesDescriptiveChecksumError) {
 
 TEST(AsyncDiskSlotStore, TruncatedSpillReportsDescriptiveError) {
   std::mt19937 rng(31);
-  const std::string dir = test_dir("truncated");
+  const std::string dir = test_dir("async_truncated");
   AsyncDiskSlotStore store(2, 0, dir);
   Tensor t = Tensor::randn(Shape{8, 8}, rng);
   store.put(1, t);
@@ -215,6 +211,84 @@ TEST(AsyncDiskSlotStore, TruncatedSpillReportsDescriptiveError) {
   }
 }
 
+TEST(AsyncDiskSlotStore, BlockingReadBitFlipFailsChecksum) {
+  std::mt19937 rng(29);
+  const std::string dir = test_dir("async_bitflip_blocking");
+  AsyncDiskSlotStore store(2, /*first_disk_slot=*/0, dir);
+  Tensor t = Tensor::randn(Shape{16, 16}, rng);
+  store.put(0, t);
+  store.flush();
+
+  // No replay tape, so nothing prefetches: the corrupt bytes come back
+  // through the blocking read on this thread.
+  persist::flip_bit(dir + "/slot_0.ckpt", t.bytes() / 2, 2);
+  try {
+    (void)store.get(0);
+    FAIL() << "corrupt spill file returned without error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("checksum"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(store.prefetch_hits(), 0);
+
+  // A clean rewrite of the slot recovers it.
+  store.put(0, t);
+  store.flush();
+  EXPECT_EQ(Tensor::max_abs_diff(store.get(0), t), 0.0F);
+  EXPECT_EQ(store.blocking_reads(), 1);
+}
+
+TEST(AsyncDiskSlotStore, OverwriteReplacesBytes) {
+  AsyncDiskSlotStore store(2, 0, test_dir("async_overwrite"));
+  store.put(0, Tensor::zeros(Shape{16}));
+  store.put(0, Tensor::zeros(Shape{4}));
+  store.flush();
+  EXPECT_EQ(store.external_bytes(), 16U);
+  EXPECT_EQ(store.get(0).numel(), 4);
+}
+
+TEST(AsyncDiskSlotStore, LossyBlobDecodesIdenticallyOnEveryGetPath) {
+  std::mt19937 rng(37);
+  const Tensor t = Tensor::randn(Shape{16, 16}, rng);
+  for (const SlotCodec codec : {SlotCodec::Fp16, SlotCodec::Int8}) {
+    SCOPED_TRACE(to_string(codec));
+    const std::vector<std::uint8_t> blob = codec::encode(codec, t);
+    const Tensor expected =
+        codec::decode(codec, "test", t.shape(), blob.data(), blob.size());
+    ASSERT_GT(Tensor::max_abs_diff(expected, t), 0.0F);  // lossy cast
+    const auto matches = [&](const Tensor& got) {
+      return got.numel() == expected.numel() &&
+             std::memcmp(got.data(), expected.data(), expected.bytes()) == 0;
+    };
+
+    std::atomic<bool> release{false};
+    AsyncDiskSlotStoreOptions options;
+    options.codec = codec;
+    options.io_fault = [&](std::int32_t, bool is_write) {
+      if (!is_write) return;
+      while (!release) sleep_ms(1);
+    };
+    AsyncDiskSlotStore store(1, 0, test_dir("async_lossy_" + to_string(codec)),
+                             options);
+    store.put(0, t);
+    EXPECT_TRUE(matches(store.get(0)));  // write held: served from staging
+    EXPECT_EQ(store.write_behind_hits(), 1);
+    release = true;
+    store.flush();
+
+    Schedule tape(1, 2);
+    tape.restore(0, 0);
+    store.begin_replay(tape);
+    store.on_replay_position(0);
+    EXPECT_TRUE(matches(store.get(0)));  // served by the prefetcher
+    store.end_replay();
+    EXPECT_EQ(store.prefetch_hits(), 1);
+
+    EXPECT_TRUE(matches(store.get(0)));  // no tape: blocking read
+    EXPECT_EQ(store.blocking_reads(), 1);
+  }
+}
+
 TEST(AsyncDiskSlotStore, DestructionJoinsWritesInFlight) {
   std::atomic<int> writes_entered{0};
   {
@@ -225,7 +299,7 @@ TEST(AsyncDiskSlotStore, DestructionJoinsWritesInFlight) {
       ++writes_entered;
       sleep_ms(10);
     };
-    AsyncDiskSlotStore store(4, 0, test_dir("dtor"), options);
+    AsyncDiskSlotStore store(4, 0, test_dir("async_dtor"), options);
     for (std::int32_t slot = 0; slot < 4; ++slot) {
       store.put(slot, Tensor::zeros(Shape{256}));
     }
@@ -245,7 +319,7 @@ TEST(AsyncDiskSlotStore, DropDuringInFlightWriteInvalidatesCleanly) {
     if (!is_write) return;
     while (!release) sleep_ms(1);
   };
-  AsyncDiskSlotStore store(1, 0, test_dir("drop_inflight"), options);
+  AsyncDiskSlotStore store(1, 0, test_dir("async_drop_inflight"), options);
   store.put(0, Tensor::zeros(Shape{32}));
   store.drop(0);  // supersedes the write still sitting in the worker
   release = true;
@@ -260,7 +334,8 @@ TEST(AsyncDiskSlotStore, DropDuringInFlightWriteInvalidatesCleanly) {
 // runtime errors are not (no corruption is injected here).
 TEST(AsyncDiskSlotStore, ConcurrentPutGetDropHammer) {
   std::mt19937 seed_rng(101);
-  AsyncDiskSlotStore store(6, /*first_disk_slot=*/2, test_dir("hammer"));
+  AsyncDiskSlotStore store(6, /*first_disk_slot=*/2,
+                           test_dir("async_hammer"));
 
   // A replay tape touching the shared slots keeps the prefetcher engaged
   // while the hammer threads mutate the same slots.
@@ -350,7 +425,7 @@ TEST(AsyncDiskSlotStore, ExecutorReplayPrefetchesAndMatchesSyncGradients) {
   const StoreRun reference = run_with_store(chain, schedule, x, ram);
 
   AsyncDiskSlotStore async(schedule.num_slots(), /*first_disk_slot=*/1,
-                           test_dir("executor"));
+                           test_dir("async_executor"));
   const StoreRun overlapped = run_with_store(chain, schedule, x, async);
   EXPECT_GT(async.disk_writes(), 0);
   // The executor announces the tape, so restores of flushed slots are
@@ -376,7 +451,8 @@ TEST(AsyncDiskSlotStore, ExecutorEndsReplayOnThrowingPaths) {
   Tensor x = Tensor::randn(Shape{1, 4, 8, 8}, rng);
   const Schedule schedule = revolve::make_schedule(6, 2);
 
-  AsyncDiskSlotStore async(schedule.num_slots(), 1, test_dir("abandon"));
+  AsyncDiskSlotStore async(schedule.num_slots(), 1,
+                           test_dir("async_abandon"));
   nn::LayerChainRunner runner(chain, nn::Phase::Train);
   runner.begin_pass();
   ScheduleExecutor executor;
@@ -401,7 +477,8 @@ TEST(AsyncDiskSlotStore, ExecutorEndsReplayOnThrowingPaths) {
 // lockset race detector flags the unlocked variant deterministically.
 TEST(AsyncDiskSlotStore, RamTierPutGetDropIsSafeAgainstResidentBytesPolling) {
   std::mt19937 rng(91);
-  AsyncDiskSlotStore store(4, /*first_disk_slot=*/2, test_dir("ram_race"));
+  AsyncDiskSlotStore store(4, /*first_disk_slot=*/2,
+                           test_dir("async_ram_race"));
   const Tensor a = Tensor::randn(Shape{8, 8}, rng);
   const Tensor b = Tensor::randn(Shape{8, 8}, rng);
 

@@ -1,11 +1,12 @@
-// Slot-codec unit coverage: the SIMD fp16/bf16 cast kernels against the
-// repo's scalar IEEE reference (exhaustively over all 65536 half patterns),
-// the byte-plane + RLE lossless codec's bit-exactness and raw-mode
-// fallback bound, its measured compression on post-ReLU-like activations,
-// structural-corruption detection on decode, and the CompressedSlotStore's
-// accounting and guard poisoning.
+// Slot-codec unit coverage: the SIMD fp16/bf16 cast kernels against an
+// explicit-rounding scalar IEEE reference kept here (exhaustively over all
+// 65536 half patterns), the byte-plane + RLE lossless codec's bit-exactness
+// and raw-mode fallback bound, its measured compression on post-ReLU-like
+// activations, structural-corruption detection on decode, and the
+// CompressedSlotStore's accounting and guard poisoning.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -14,11 +15,109 @@
 
 #include "core/slot_codec.hpp"
 #include "core/slot_store.hpp"
+#include "tensor/alloc.hpp"
 #include "tensor/convert.hpp"
 #include "tensor/guards.hpp"
 
 namespace edgetrain::core {
 namespace {
+
+// --- scalar IEEE 754 binary16 reference (round-to-nearest-even) -----------
+// Written bit field by bit field, independently of the branch-free
+// tensor/convert kernels it checks.
+
+std::uint16_t float_to_half(float value) {
+  const std::uint32_t bits = std::bit_cast<std::uint32_t>(value);
+  const std::uint32_t sign = (bits >> 16) & 0x8000U;
+  const std::int32_t exponent =
+      static_cast<std::int32_t>((bits >> 23) & 0xFF) - 127 + 15;
+  std::uint32_t mantissa = bits & 0x7FFFFFU;
+
+  if (exponent >= 31) {  // overflow or inf/nan
+    if (((bits >> 23) & 0xFF) == 0xFF && mantissa != 0) {
+      return static_cast<std::uint16_t>(sign | 0x7E00U);  // NaN
+    }
+    return static_cast<std::uint16_t>(sign | 0x7C00U);  // +-inf
+  }
+  if (exponent <= 0) {  // subnormal or zero
+    if (exponent < -10) return static_cast<std::uint16_t>(sign);
+    mantissa |= 0x800000U;
+    const int shift = 14 - exponent;
+    std::uint32_t half_mantissa = mantissa >> shift;
+    // round to nearest even
+    const std::uint32_t rest = mantissa & ((1U << shift) - 1U);
+    const std::uint32_t halfway = 1U << (shift - 1);
+    if (rest > halfway || (rest == halfway && (half_mantissa & 1U))) {
+      ++half_mantissa;
+    }
+    return static_cast<std::uint16_t>(sign | half_mantissa);
+  }
+  std::uint32_t half =
+      sign | (static_cast<std::uint32_t>(exponent) << 10) | (mantissa >> 13);
+  const std::uint32_t rest = mantissa & 0x1FFFU;
+  if (rest > 0x1000U || (rest == 0x1000U && (half & 1U))) ++half;
+  return static_cast<std::uint16_t>(half);
+}
+
+float half_to_float(std::uint16_t value) {
+  const std::uint32_t sign = (static_cast<std::uint32_t>(value) & 0x8000U)
+                             << 16;
+  const std::uint32_t exponent = (value >> 10) & 0x1FU;
+  const std::uint32_t mantissa = value & 0x3FFU;
+  std::uint32_t bits;
+  if (exponent == 0) {
+    if (mantissa == 0) {
+      bits = sign;  // zero
+    } else {        // subnormal: normalise
+      int e = -1;
+      std::uint32_t m = mantissa;
+      do {
+        ++e;
+        m <<= 1;
+      } while ((m & 0x400U) == 0);
+      bits = sign | (static_cast<std::uint32_t>(127 - 15 - e) << 23) |
+             ((m & 0x3FFU) << 13);
+    }
+  } else if (exponent == 31) {
+    bits = sign | 0x7F800000U | (mantissa << 13);  // inf/nan
+  } else {
+    bits = sign | ((exponent - 15 + 127) << 23) | (mantissa << 13);
+  }
+  return std::bit_cast<float>(bits);
+}
+
+TEST(HalfFloat, ExactValuesRoundTrip) {
+  for (const float v : {0.0F, 1.0F, -1.0F, 0.5F, 2.0F, -1024.0F, 0.25F}) {
+    EXPECT_EQ(half_to_float(float_to_half(v)), v) << v;
+  }
+}
+
+TEST(HalfFloat, RelativeErrorWithinHalfUlp) {
+  std::mt19937 rng(5);
+  std::uniform_real_distribution<float> dist(-100.0F, 100.0F);
+  for (int i = 0; i < 2000; ++i) {
+    const float v = dist(rng);
+    const float r = half_to_float(float_to_half(v));
+    EXPECT_NEAR(r, v, std::fabs(v) * 1e-3F + 1e-6F);
+  }
+}
+
+TEST(HalfFloat, OverflowSaturatesToInfinity) {
+  EXPECT_TRUE(std::isinf(half_to_float(float_to_half(1e10F))));
+  EXPECT_TRUE(std::isinf(half_to_float(float_to_half(-1e10F))));
+  EXPECT_LT(half_to_float(float_to_half(-1e10F)), 0.0F);
+}
+
+TEST(HalfFloat, SubnormalsSurvive) {
+  const float tiny = 1e-5F;
+  const float r = half_to_float(float_to_half(tiny));
+  EXPECT_NEAR(r, tiny, 1e-6F);
+}
+
+TEST(HalfFloat, NanPropagates) {
+  EXPECT_TRUE(std::isnan(
+      half_to_float(float_to_half(std::numeric_limits<float>::quiet_NaN()))));
+}
 
 // --- fp16 kernels vs the scalar IEEE reference ----------------------------
 
@@ -257,6 +356,27 @@ TEST(SlotCodecTest, DecodeRejectsStructuralCorruption) {
   EXPECT_THROW(codec::decode(SlotCodec::Fp16, "test", shape,
                              half_blob.data(), half_blob.size() - 2),
                std::runtime_error);
+
+  // Int8: every proper prefix is a size mismatch, and the header's scale
+  // must be finite and positive.
+  const std::vector<std::uint8_t> int8_blob =
+      codec::encode(SlotCodec::Int8, original);
+  ASSERT_EQ(int8_blob.size(), codec::max_encoded_bytes(SlotCodec::Int8, 512));
+  for (std::size_t size = 0; size < int8_blob.size(); ++size) {
+    EXPECT_THROW(
+        codec::decode(SlotCodec::Int8, "test", shape, int8_blob.data(), size),
+        std::runtime_error)
+        << "prefix size " << size;
+  }
+  for (const float scale : {std::numeric_limits<float>::quiet_NaN(), 0.0F,
+                            -0.5F, std::numeric_limits<float>::infinity()}) {
+    std::vector<std::uint8_t> bad = int8_blob;
+    std::memcpy(bad.data(), &scale, sizeof(scale));
+    EXPECT_THROW(codec::decode(SlotCodec::Int8, "test", shape, bad.data(),
+                               bad.size()),
+                 std::runtime_error)
+        << "scale " << scale;
+  }
 }
 
 // --- lossy blob codecs ----------------------------------------------------
@@ -453,9 +573,9 @@ TEST(SlotCodecTest, BitmapRejectsShapeMismatchAndForgedCounts) {
 // --- parsing / planning ratios --------------------------------------------
 
 TEST(SlotCodecTest, ParseAndToStringRoundTrip) {
-  for (const SlotCodec codec : {SlotCodec::None, SlotCodec::Lossless,
-                                SlotCodec::Fp16, SlotCodec::Bf16,
-                                SlotCodec::Bitmap, SlotCodec::BitmapFp16}) {
+  for (const SlotCodec codec :
+       {SlotCodec::None, SlotCodec::Lossless, SlotCodec::Fp16, SlotCodec::Bf16,
+        SlotCodec::Bitmap, SlotCodec::BitmapFp16, SlotCodec::Int8}) {
     const auto parsed = parse_slot_codec(to_string(codec));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, codec);
@@ -473,6 +593,8 @@ TEST(SlotCodecTest, PlanningRatiosAreSound) {
   // achieved per-slot ratio feeds back through measured_slot_ratio.
   EXPECT_EQ(planning_bytes_ratio(SlotCodec::Bitmap), 1.0);
   EXPECT_EQ(planning_bytes_ratio(SlotCodec::BitmapFp16), 0.5);
+  // Int8 plans at one byte per element; its 5-byte header is per slot.
+  EXPECT_EQ(planning_bytes_ratio(SlotCodec::Int8), 0.25);
 }
 
 TEST(CompressedSlotStoreTest, BitmapStoreRecordsMeasuredPerSlotRatio) {
@@ -534,6 +656,30 @@ TEST(CompressedSlotStoreTest, Fp16StoreHalvesResidentBytes) {
   for (std::int64_t i = 0; i < a.numel(); ++i) {
     EXPECT_EQ(back.data()[i], half_to_float(float_to_half(a.data()[i])));
   }
+}
+
+TEST(CompressedSlotStoreTest, Int8RoundTripAccuracy) {
+  std::mt19937 rng(13);
+  CompressedSlotStore store(2, SlotCodec::Int8);
+  Tensor t = Tensor::uniform(Shape{256}, rng, -2.0F, 2.0F);
+  store.put(0, t);
+  EXPECT_EQ(store.resident_bytes(), 256U + 5U);  // 1 byte/element + header
+  Tensor back = store.get(0);
+  // max error = half a quantisation step = range/255/2.
+  EXPECT_LT(Tensor::max_abs_diff(back, t), 4.0F / 255.0F);
+}
+
+TEST(CompressedSlotStoreTest, TrackerSeesEncodedBytes) {
+  auto& tracker = MemoryTracker::instance();
+  const std::size_t before = tracker.current_bytes();
+  {
+    CompressedSlotStore store(1, SlotCodec::Int8);
+    Tensor t = Tensor::zeros(Shape{1024});
+    store.put(0, t);
+    t.reset();
+    EXPECT_EQ(tracker.current_bytes(), before + 1024 + 5);  // encoded only
+  }
+  EXPECT_EQ(tracker.current_bytes(), before);
 }
 
 TEST(CompressedSlotStoreTest, DropPoisonsEncodedBlobUnderGuards) {

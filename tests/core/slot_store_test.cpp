@@ -2,57 +2,19 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <random>
 
+#include "core/async_slot_store.hpp"
 #include "core/executor.hpp"
 #include "core/revolve.hpp"
 #include "models/small_nets.hpp"
-#include "persist/fault.hpp"
 #include "nn/chain_runner.hpp"
 #include "nn/layers.hpp"
-#include "tensor/alloc.hpp"
 #include "tensor/ops.hpp"
+#include "test_dir.hpp"
 
 namespace edgetrain::core {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Half-precision conversions
-// ---------------------------------------------------------------------------
-
-TEST(HalfFloat, ExactValuesRoundTrip) {
-  for (const float v : {0.0F, 1.0F, -1.0F, 0.5F, 2.0F, -1024.0F, 0.25F}) {
-    EXPECT_EQ(half_to_float(float_to_half(v)), v) << v;
-  }
-}
-
-TEST(HalfFloat, RelativeErrorWithinHalfUlp) {
-  std::mt19937 rng(5);
-  std::uniform_real_distribution<float> dist(-100.0F, 100.0F);
-  for (int i = 0; i < 2000; ++i) {
-    const float v = dist(rng);
-    const float r = half_to_float(float_to_half(v));
-    EXPECT_NEAR(r, v, std::fabs(v) * 1e-3F + 1e-6F);
-  }
-}
-
-TEST(HalfFloat, OverflowSaturatesToInfinity) {
-  EXPECT_TRUE(std::isinf(half_to_float(float_to_half(1e10F))));
-  EXPECT_TRUE(std::isinf(half_to_float(float_to_half(-1e10F))));
-  EXPECT_LT(half_to_float(float_to_half(-1e10F)), 0.0F);
-}
-
-TEST(HalfFloat, SubnormalsSurvive) {
-  const float tiny = 1e-5F;
-  const float r = half_to_float(float_to_half(tiny));
-  EXPECT_NEAR(r, tiny, 1e-6F);
-}
-
-TEST(HalfFloat, NanPropagates) {
-  EXPECT_TRUE(std::isnan(
-      half_to_float(float_to_half(std::numeric_limits<float>::quiet_NaN()))));
-}
 
 // ---------------------------------------------------------------------------
 // Stores
@@ -76,117 +38,6 @@ TEST(RamSlotStore, SharesStorageWithoutCopy) {
   Tensor out = store.get(0);
   out.at(0) = 5.0F;
   EXPECT_EQ(t.at(0), 5.0F);
-}
-
-TEST(DiskSlotStore, RoundTripsThroughFiles) {
-  std::mt19937 rng(7);
-  DiskSlotStore store(4, /*first_disk_slot=*/2, ::testing::TempDir());
-  Tensor ram_tensor = Tensor::randn(Shape{2, 3}, rng);
-  Tensor disk_tensor = Tensor::randn(Shape{4, 5}, rng);
-  store.put(0, ram_tensor);
-  store.put(3, disk_tensor);
-  EXPECT_EQ(store.disk_writes(), 1);
-  EXPECT_EQ(store.external_bytes(), disk_tensor.bytes());
-  EXPECT_EQ(store.resident_bytes(), ram_tensor.bytes());
-
-  Tensor back = store.get(3);
-  EXPECT_EQ(Tensor::max_abs_diff(back, disk_tensor), 0.0F);
-  EXPECT_EQ(store.disk_reads(), 1);
-
-  store.drop(3);
-  EXPECT_EQ(store.external_bytes(), 0U);
-  EXPECT_THROW((void)store.get(3), std::logic_error);
-}
-
-TEST(DiskSlotStore, OverwriteReplacesBytes) {
-  DiskSlotStore store(2, 0, ::testing::TempDir());
-  store.put(0, Tensor::zeros(Shape{16}));
-  store.put(0, Tensor::zeros(Shape{4}));
-  EXPECT_EQ(store.external_bytes(), 16U);
-}
-
-TEST(DiskSlotStore, BitFlippedSpillFileFailsChecksum) {
-  std::mt19937 rng(29);
-  DiskSlotStore store(2, /*first_disk_slot=*/0, ::testing::TempDir());
-  Tensor t = Tensor::randn(Shape{16, 16}, rng);
-  store.put(0, t);
-
-  // An SD card flips one bit in the spill file behind the store's back.
-  const std::string path =
-      std::string(::testing::TempDir()) + "/slot_0.ckpt";
-  persist::flip_bit(path, t.bytes() / 2, 2);
-  try {
-    (void)store.get(0);
-    FAIL() << "corrupt spill file returned without error";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("checksum"), std::string::npos)
-        << error.what();
-  }
-
-  // A clean rewrite of the slot recovers it.
-  store.put(0, t);
-  EXPECT_EQ(Tensor::max_abs_diff(store.get(0), t), 0.0F);
-}
-
-TEST(DiskSlotStore, TruncatedSpillFileReportsDescriptiveError) {
-  std::mt19937 rng(31);
-  DiskSlotStore store(2, /*first_disk_slot=*/0, ::testing::TempDir());
-  Tensor t = Tensor::randn(Shape{8, 8}, rng);
-  store.put(1, t);
-
-  const std::string path =
-      std::string(::testing::TempDir()) + "/slot_1.ckpt";
-  persist::truncate_file(path, t.bytes() - 12);
-  try {
-    (void)store.get(1);
-    FAIL() << "truncated spill file returned without error";
-  } catch (const std::runtime_error& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("truncated or corrupt"), std::string::npos) << what;
-    EXPECT_NE(what.find(std::to_string(t.bytes())), std::string::npos) << what;
-  }
-}
-
-TEST(QuantizedSlotStore, HalfRoundTripAccuracy) {
-  std::mt19937 rng(11);
-  QuantizedSlotStore store(2, QuantizedSlotStore::Precision::Half);
-  Tensor t = Tensor::randn(Shape{128}, rng);
-  store.put(0, t);
-  EXPECT_EQ(store.resident_bytes(), 256U);  // 2 bytes/element
-  Tensor back = store.get(0);
-  EXPECT_LT(Tensor::max_abs_diff(back, t), 5e-3F);
-}
-
-TEST(QuantizedSlotStore, Int8RoundTripAccuracy) {
-  std::mt19937 rng(13);
-  QuantizedSlotStore store(2, QuantizedSlotStore::Precision::Int8);
-  Tensor t = Tensor::uniform(Shape{256}, rng, -2.0F, 2.0F);
-  store.put(0, t);
-  EXPECT_EQ(store.resident_bytes(), 256U);  // 1 byte/element
-  Tensor back = store.get(0);
-  // max error = half a quantisation step = range/255/2.
-  EXPECT_LT(Tensor::max_abs_diff(back, t), 4.0F / 255.0F);
-}
-
-TEST(QuantizedSlotStore, TrackerSeesEncodedBytes) {
-  auto& tracker = MemoryTracker::instance();
-  const std::size_t before = tracker.current_bytes();
-  {
-    QuantizedSlotStore store(1, QuantizedSlotStore::Precision::Int8);
-    Tensor t = Tensor::zeros(Shape{1024});
-    store.put(0, t);
-    t.reset();
-    EXPECT_EQ(tracker.current_bytes(), before + 1024);  // encoded only
-  }
-  EXPECT_EQ(tracker.current_bytes(), before);
-}
-
-TEST(QuantizedSlotStore, DropFreesTrackedBytes) {
-  QuantizedSlotStore store(1, QuantizedSlotStore::Precision::Half);
-  store.put(0, Tensor::zeros(Shape{64}));
-  EXPECT_GT(store.resident_bytes(), 0U);
-  store.drop(0);
-  EXPECT_EQ(store.resident_bytes(), 0U);
 }
 
 // ---------------------------------------------------------------------------
@@ -228,7 +79,8 @@ TEST(ExecutorWithStores, DiskSpillGradsBitIdentical) {
   const StoreRun reference = run_with_store(chain, schedule, x, ram);
 
   // Spill every non-input slot to disk: lossless, so grads stay identical.
-  DiskSlotStore disk(schedule.num_slots(), 1, ::testing::TempDir());
+  AsyncDiskSlotStore disk(schedule.num_slots(), 1,
+                          test::test_dir("slot_store_disk_spill"));
   const StoreRun spilled = run_with_store(chain, schedule, x, disk);
   EXPECT_GT(disk.disk_writes(), 0);
 
@@ -272,15 +124,13 @@ TEST(ExecutorWithStores, QuantizedCheckpointsGiveApproximateGrads) {
   const StoreRun reference = run_with_store(chain, schedule, x, ram);
   const float scale = max_param_scale(reference);
 
-  QuantizedSlotStore half(schedule.num_slots(),
-                          QuantizedSlotStore::Precision::Half);
+  CompressedSlotStore half(schedule.num_slots(), SlotCodec::Fp16);
   const StoreRun halved = run_with_store(chain, schedule, x, half);
   const float half_err = max_param_err(reference, halved);
   EXPECT_GT(half_err, 0.0F);          // lossy checkpoints are visible...
   EXPECT_LT(half_err, 0.01F * scale); // ...but small at fp16
 
-  QuantizedSlotStore int8(schedule.num_slots(),
-                          QuantizedSlotStore::Precision::Int8);
+  CompressedSlotStore int8(schedule.num_slots(), SlotCodec::Int8);
   const StoreRun quantised = run_with_store(chain, schedule, x, int8);
   const float int8_err = max_param_err(reference, quantised);
   EXPECT_GT(int8_err, half_err);       // int8 is coarser than fp16
@@ -295,8 +145,7 @@ TEST(ExecutorWithStores, QuantizedStoreHalvesCheckpointMemory) {
 
   RamSlotStore ram(schedule.num_slots());
   (void)run_with_store(chain, schedule, x, ram);
-  QuantizedSlotStore half(schedule.num_slots(),
-                          QuantizedSlotStore::Precision::Half);
+  CompressedSlotStore half(schedule.num_slots(), SlotCodec::Fp16);
 
   // Peak store occupancy: hold all slots with one activation each.
   Tensor act = Tensor::randn(Shape{1, 8, 12, 12}, rng);

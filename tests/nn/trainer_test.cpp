@@ -6,6 +6,7 @@
 
 #include "models/small_nets.hpp"
 #include "tensor/ops.hpp"
+#include "test_dir.hpp"
 
 namespace edgetrain::nn {
 namespace {
@@ -60,6 +61,7 @@ TEST_P(TrainerStrategyTest, LearnsQuadrantTask) {
   TrainerOptions options;
   options.strategy = strategy;
   options.backend = backend;
+  options.spill_directory = test::test_dir("trainer_learns_quadrant");
   options.free_slots = 2;
   options.lr = 0.08F;
   Trainer trainer(chain, options);
@@ -86,11 +88,13 @@ INSTANTIATE_TEST_SUITE_P(
         StrategyCase{CheckpointStrategy::Revolve, SlotBackend::Int8}));
 
 TEST(Trainer, RevolveIdenticalToFullStorageTrajectory) {
-  auto run = [](CheckpointStrategy strategy) {
+  auto run = [](CheckpointStrategy strategy, SlotBackend backend) {
     std::mt19937 rng(611);
     LayerChain chain = models::build_patch_cnn(12, 1, 4, 4, rng);
     TrainerOptions options;
     options.strategy = strategy;
+    options.backend = backend;
+    options.spill_directory = test::test_dir("trainer_revolve_trajectory");
     options.free_slots = 1;
     Trainer trainer(chain, options);
     std::mt19937 data_rng(613);
@@ -102,10 +106,14 @@ TEST(Trainer, RevolveIdenticalToFullStorageTrajectory) {
     for (const ParamRef& p : chain.params()) weights.push_back(p.value->clone());
     return weights;
   };
-  const auto full = run(CheckpointStrategy::FullStorage);
-  const auto revolve = run(CheckpointStrategy::Revolve);
+  const auto full = run(CheckpointStrategy::FullStorage, SlotBackend::Ram);
+  const auto revolve = run(CheckpointStrategy::Revolve, SlotBackend::Ram);
+  // Spilled checkpoints are lossless: the weights match bit for bit.
+  const auto spilled =
+      run(CheckpointStrategy::Revolve, SlotBackend::DiskSpill);
   for (std::size_t i = 0; i < full.size(); ++i) {
     EXPECT_EQ(Tensor::max_abs_diff(full[i], revolve[i]), 0.0F) << i;
+    EXPECT_EQ(Tensor::max_abs_diff(revolve[i], spilled[i]), 0.0F) << i;
   }
 }
 
