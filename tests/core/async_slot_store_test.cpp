@@ -211,42 +211,6 @@ TEST(AsyncDiskSlotStore, TruncatedSpillReportsDescriptiveError) {
   }
 }
 
-TEST(AsyncDiskSlotStore, BlockingReadBitFlipFailsChecksum) {
-  std::mt19937 rng(29);
-  const std::string dir = test_dir("async_bitflip_blocking");
-  AsyncDiskSlotStore store(2, /*first_disk_slot=*/0, dir);
-  Tensor t = Tensor::randn(Shape{16, 16}, rng);
-  store.put(0, t);
-  store.flush();
-
-  // No replay tape, so nothing prefetches: the corrupt bytes come back
-  // through the blocking read on this thread.
-  persist::flip_bit(dir + "/slot_0.ckpt", t.bytes() / 2, 2);
-  try {
-    (void)store.get(0);
-    FAIL() << "corrupt spill file returned without error";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("checksum"), std::string::npos)
-        << error.what();
-  }
-  EXPECT_EQ(store.prefetch_hits(), 0);
-
-  // A clean rewrite of the slot recovers it.
-  store.put(0, t);
-  store.flush();
-  EXPECT_EQ(Tensor::max_abs_diff(store.get(0), t), 0.0F);
-  EXPECT_EQ(store.blocking_reads(), 1);
-}
-
-TEST(AsyncDiskSlotStore, OverwriteReplacesBytes) {
-  AsyncDiskSlotStore store(2, 0, test_dir("async_overwrite"));
-  store.put(0, Tensor::zeros(Shape{16}));
-  store.put(0, Tensor::zeros(Shape{4}));
-  store.flush();
-  EXPECT_EQ(store.external_bytes(), 16U);
-  EXPECT_EQ(store.get(0).numel(), 4);
-}
-
 TEST(AsyncDiskSlotStore, LossyBlobDecodesIdenticallyOnEveryGetPath) {
   std::mt19937 rng(37);
   const Tensor t = Tensor::randn(Shape{16, 16}, rng);
@@ -505,6 +469,102 @@ TEST(AsyncDiskSlotStore, RamTierPutGetDropIsSafeAgainstResidentBytesPolling) {
   poller.join();
   EXPECT_GT(polls.load(std::memory_order_relaxed), 0U);
   EXPECT_GE(store.resident_bytes(), a.bytes());  // slot 0 is still live
+}
+
+// ---------------------------------------------------------------------------
+// DiskSlotStore: the disk tier driven synchronously -- flush after every put
+// and no replay tape, so every get of a disk slot is a blocking read on the
+// calling thread. Calibration and the benches' synchronous spill baseline
+// use the store this way.
+// ---------------------------------------------------------------------------
+
+TEST(DiskSlotStore, RoundTripsThroughFiles) {
+  std::mt19937 rng(7);
+  const std::string dir = test_dir("disk_roundtrip");
+  AsyncDiskSlotStore store(4, /*first_disk_slot=*/1, dir);
+  Tensor ram_tensor = Tensor::randn(Shape{2, 3}, rng);
+  Tensor disk_a = Tensor::randn(Shape{4, 5}, rng);
+  Tensor disk_b = Tensor::randn(Shape{3, 7}, rng);
+  store.put(0, ram_tensor);
+  store.put(1, disk_a);
+  store.flush();
+  store.put(3, disk_b);
+  store.flush();
+  EXPECT_EQ(store.disk_writes(), 2);
+  EXPECT_EQ(store.external_bytes(), disk_a.bytes() + disk_b.bytes());
+  EXPECT_EQ(store.resident_bytes(), ram_tensor.bytes());
+  EXPECT_TRUE(std::filesystem::exists(dir + "/slot_1.ckpt"));
+  EXPECT_TRUE(std::filesystem::exists(dir + "/slot_3.ckpt"));
+
+  EXPECT_EQ(Tensor::max_abs_diff(store.get(3), disk_b), 0.0F);
+  EXPECT_EQ(Tensor::max_abs_diff(store.get(1), disk_a), 0.0F);
+  EXPECT_EQ(Tensor::max_abs_diff(store.get(0), ram_tensor), 0.0F);
+  EXPECT_EQ(store.disk_reads(), 2);
+  EXPECT_EQ(store.blocking_reads(), 2);
+  EXPECT_EQ(store.prefetch_hits(), 0);
+
+  // Dropping a flushed slot deletes its file and its external bytes.
+  store.drop(1);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/slot_1.ckpt"));
+  EXPECT_EQ(store.external_bytes(), disk_b.bytes());
+  EXPECT_THROW((void)store.get(1), std::logic_error);
+}
+
+TEST(DiskSlotStore, OverwriteReplacesBytes) {
+  AsyncDiskSlotStore store(2, 0, test_dir("async_overwrite"));
+  store.put(0, Tensor::zeros(Shape{16}));
+  store.put(0, Tensor::zeros(Shape{4}));
+  store.flush();
+  EXPECT_EQ(store.external_bytes(), 16U);
+  EXPECT_EQ(store.get(0).numel(), 4);
+}
+
+TEST(DiskSlotStore, BitFlippedSpillFileFailsChecksum) {
+  std::mt19937 rng(29);
+  const std::string dir = test_dir("async_bitflip_blocking");
+  AsyncDiskSlotStore store(2, /*first_disk_slot=*/0, dir);
+  Tensor t = Tensor::randn(Shape{16, 16}, rng);
+  store.put(0, t);
+  store.flush();
+
+  // An SD card flips one bit in the spill file behind the store's back; the
+  // corrupt bytes come back through the blocking read on this thread.
+  persist::flip_bit(dir + "/slot_0.ckpt", t.bytes() / 2, 2);
+  try {
+    (void)store.get(0);
+    FAIL() << "corrupt spill file returned without error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("checksum"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(store.prefetch_hits(), 0);
+
+  // A clean rewrite of the slot recovers it.
+  store.put(0, t);
+  store.flush();
+  EXPECT_EQ(Tensor::max_abs_diff(store.get(0), t), 0.0F);
+  EXPECT_EQ(store.blocking_reads(), 1);
+}
+
+TEST(DiskSlotStore, TruncatedSpillFileReportsDescriptiveError) {
+  std::mt19937 rng(37);
+  const std::string dir = test_dir("disk_truncated_header");
+  AsyncDiskSlotStore store(2, /*first_disk_slot=*/0, dir);
+  Tensor t = Tensor::randn(Shape{8, 8}, rng);
+  store.put(0, t);
+  store.flush();
+
+  // Cut the file inside its header, not just short of the payload's end.
+  persist::truncate_file(dir + "/slot_0.ckpt", 4);
+  try {
+    (void)store.get(0);
+    FAIL() << "truncated spill file returned without error";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("truncated or corrupt"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(t.bytes())), std::string::npos) << what;
+    EXPECT_NE(what.find("slot_0.ckpt"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

@@ -658,7 +658,32 @@ TEST(CompressedSlotStoreTest, Fp16StoreHalvesResidentBytes) {
   }
 }
 
-TEST(CompressedSlotStoreTest, Int8RoundTripAccuracy) {
+TEST(CompressedSlotStoreTest, DropPoisonsEncodedBlobUnderGuards) {
+  if (!guards::kEnabled) GTEST_SKIP() << "guards disabled in this build";
+  std::mt19937 rng(63);
+  CompressedSlotStore store(2, SlotCodec::Lossless);
+  const Tensor a = Tensor::randn(Shape{256}, rng);
+  store.put(0, a);
+  const std::int64_t fills_before = guards::poison_fill_count();
+  store.drop(0);
+  // The release path must poison the encoded bytes (kPoisonByte fill) so no
+  // stale plaintext-derived data survives the drop.
+  EXPECT_GT(guards::poison_fill_count(), fills_before);
+}
+
+// --- QuantizedSlotStore: CompressedSlotStore with a lossy codec ----------
+
+TEST(QuantizedSlotStore, HalfRoundTripAccuracy) {
+  std::mt19937 rng(11);
+  CompressedSlotStore store(2, SlotCodec::Fp16);
+  Tensor t = Tensor::randn(Shape{128}, rng);
+  store.put(0, t);
+  EXPECT_EQ(store.resident_bytes(), 256U);  // 2 bytes/element, no header
+  Tensor back = store.get(0);
+  EXPECT_LT(Tensor::max_abs_diff(back, t), 5e-3F);
+}
+
+TEST(QuantizedSlotStore, Int8RoundTripAccuracy) {
   std::mt19937 rng(13);
   CompressedSlotStore store(2, SlotCodec::Int8);
   Tensor t = Tensor::uniform(Shape{256}, rng, -2.0F, 2.0F);
@@ -669,7 +694,7 @@ TEST(CompressedSlotStoreTest, Int8RoundTripAccuracy) {
   EXPECT_LT(Tensor::max_abs_diff(back, t), 4.0F / 255.0F);
 }
 
-TEST(CompressedSlotStoreTest, TrackerSeesEncodedBytes) {
+TEST(QuantizedSlotStore, TrackerSeesEncodedBytes) {
   auto& tracker = MemoryTracker::instance();
   const std::size_t before = tracker.current_bytes();
   {
@@ -682,17 +707,19 @@ TEST(CompressedSlotStoreTest, TrackerSeesEncodedBytes) {
   EXPECT_EQ(tracker.current_bytes(), before);
 }
 
-TEST(CompressedSlotStoreTest, DropPoisonsEncodedBlobUnderGuards) {
-  if (!guards::kEnabled) GTEST_SKIP() << "guards disabled in this build";
-  std::mt19937 rng(63);
-  CompressedSlotStore store(2, SlotCodec::Lossless);
-  const Tensor a = Tensor::randn(Shape{256}, rng);
-  store.put(0, a);
-  const std::int64_t fills_before = guards::poison_fill_count();
+TEST(QuantizedSlotStore, DropFreesTrackedBytes) {
+  auto& tracker = MemoryTracker::instance();
+  const std::size_t before = tracker.current_bytes();
+  CompressedSlotStore store(2, SlotCodec::Int8);
+  {
+    Tensor t = Tensor::zeros(Shape{512});
+    store.put(0, t);
+  }
+  EXPECT_EQ(tracker.current_bytes(), before + 512 + 5);
   store.drop(0);
-  // The release path must poison the encoded bytes (kPoisonByte fill) so no
-  // stale plaintext-derived data survives the drop.
-  EXPECT_GT(guards::poison_fill_count(), fills_before);
+  EXPECT_EQ(tracker.current_bytes(), before);
+  EXPECT_EQ(store.resident_bytes(), 0U);
+  EXPECT_THROW((void)store.get(0), std::logic_error);
 }
 
 }  // namespace

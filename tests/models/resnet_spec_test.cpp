@@ -4,17 +4,27 @@
 
 #include <numeric>
 #include <random>
+#include <type_traits>
 
 namespace edgetrain::models {
 namespace {
 
 // The canonical torchvision trainable-parameter counts (1000 classes).
+//
+// gtest_discover_tests names each case after the raw bytes of its
+// parameter, so the struct must have no padding: padding bytes are
+// uninitialised and would change the test names from run to run. The
+// explicit zero word fills the gap between the enum and the int64.
 struct ParamCase {
+  ParamCase(ResNetVariant v, std::int64_t p, int d, int b)
+      : variant(v), params(p), depth(d), blocks(b) {}
   ResNetVariant variant;
+  std::int32_t zero_pad = 0;
   std::int64_t params;
   int depth;
   int blocks;
 };
+static_assert(std::has_unique_object_representations_v<ParamCase>);
 
 class ParamCountTest : public ::testing::TestWithParam<ParamCase> {};
 

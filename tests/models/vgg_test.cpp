@@ -2,16 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "models/memory_model.hpp"
 
 namespace edgetrain::models {
 namespace {
 
 // Canonical torchvision parameter counts (plain VGG, 1000 classes).
+//
+// Padding-free for the same reason as ParamCase in resnet_spec_test: the
+// discovered test names print the parameter's raw bytes.
 struct VggCase {
+  VggCase(VggVariant v, std::int64_t p) : variant(v), params(p) {}
   VggVariant variant;
+  std::int32_t zero_pad = 0;
   std::int64_t params;
 };
+static_assert(std::has_unique_object_representations_v<VggCase>);
 
 class VggParamTest : public ::testing::TestWithParam<VggCase> {};
 
