@@ -1,7 +1,7 @@
 // Ablation E15: schedule-aware asynchronous checkpoint IO.
 //
 // Runs the same two-level (RAM + disk) checkpointed training pass through
-// AsyncDiskSlotStore used synchronously (sync_disk_store.hpp: flushed after
+// a TieredSlotStore used synchronously (sync_disk_store.hpp: flushed after
 // every put, no prefetch) and with its write-behind and prefetch on, under
 // an injected per-spill-op disk latency that stands in for a Waggle node's
 // SD card:
@@ -23,9 +23,9 @@
 #include <vector>
 
 #include "bench_json.hpp"
-#include "core/async_slot_store.hpp"
 #include "core/disk_revolve.hpp"
 #include "core/executor.hpp"
+#include "core/tiered_slot_store.hpp"
 #include "models/small_nets.hpp"
 #include "nn/chain_runner.hpp"
 #include "persist/io_latency.hpp"
@@ -91,7 +91,7 @@ int main() {
   // Reference pass (RAM store, no injected latency): exact gradients and
   // the per-pass compute baseline the calibration targets.
   persist::set_disk_latency_us(0);
-  core::RamSlotStore ram(schedule.num_slots());
+  core::TieredSlotStore ram(schedule.num_slots());
   (void)run_with(ram);  // warm up allocators and the thread pool
   auto start = Clock::now();
   const std::vector<Tensor> reference = run_with(ram);
@@ -145,8 +145,8 @@ int main() {
   core::AsyncDiskSlotStoreOptions async_options;
   async_options.write_staging_slots = 2;
   async_options.read_staging_slots = 2;
-  core::AsyncDiskSlotStore async_store(schedule.num_slots(), first_disk_slot,
-                                       dir, async_options);
+  core::TieredSlotStore async_store(schedule.num_slots(), first_disk_slot,
+                                    dir, async_options);
   const double async_s = timed(async_store, &async_err);
   const double speedup = sync_s / async_s;
 

@@ -36,7 +36,7 @@
 #include "core/dynprog.hpp"
 #include "core/executor.hpp"
 #include "core/revolve.hpp"
-#include "core/slot_store.hpp"
+#include "core/tiered_slot_store.hpp"
 #include "models/small_nets.hpp"
 #include "nn/chain_runner.hpp"
 
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
   auto run_with = [&](const core::Schedule& schedule) {
     chain.zero_grad();
     chain.clear_saved();
-    core::RamSlotStore store(schedule.num_slots());
+    core::TieredSlotStore store(schedule.num_slots());
     nn::LayerChainRunner runner(chain, nn::Phase::Train);
     runner.begin_pass();
     core::ScheduleExecutor executor;

@@ -37,13 +37,12 @@
 #include <vector>
 
 #include "bench_json.hpp"
-#include "core/async_slot_store.hpp"
 #include "core/disk_revolve.hpp"
 #include "core/dynprog.hpp"
 #include "core/executor.hpp"
 #include "core/planner.hpp"
 #include "core/slot_codec.hpp"
-#include "core/slot_store.hpp"
+#include "core/tiered_slot_store.hpp"
 #include "models/linear_resnet.hpp"
 #include "models/memory_model.hpp"
 #include "models/small_nets.hpp"
@@ -286,7 +285,7 @@ std::vector<CodecTiming> compress_wallclock(long latency_us, bool quick) {
 
     // Zero-latency RAM reference for this schedule (warm allocators too).
     persist::set_disk_latency_us(0);
-    core::RamSlotStore ram(schedule.num_slots());
+    core::TieredSlotStore ram(schedule.num_slots());
     (void)run_with(schedule, ram);
     const std::vector<Tensor> reference = run_with(schedule, ram);
     float ref_scale = 0.0F;
@@ -315,8 +314,8 @@ std::vector<CodecTiming> compress_wallclock(long latency_us, bool quick) {
     {
       core::AsyncDiskSlotStoreOptions async_options;
       async_options.codec = codec;
-      core::AsyncDiskSlotStore store(schedule.num_slots(), first_disk_slot,
-                                     dir, async_options);
+      core::TieredSlotStore store(schedule.num_slots(), first_disk_slot,
+                                  dir, async_options);
       for (int repeat = 0; repeat < kRepeats; ++repeat) {
         const auto t0 = Clock::now();
         const std::vector<Tensor> grads = run_with(schedule, store);

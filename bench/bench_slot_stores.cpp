@@ -6,7 +6,7 @@
 //   ram    -- baseline (exact);
 //   disk   -- every non-input slot spilled to files, synchronously
 //             (sync_disk_store.hpp; exact, trades IO);
-//   fp16 / int8 -- CompressedSlotStore with the lossy casts (2x / 4x
+//   fp16 / int8 -- RAM codec blobs with the lossy casts (2x / 4x
 //             memory saving).
 #include <algorithm>
 #include <cstdio>
@@ -16,6 +16,7 @@
 
 #include "core/executor.hpp"
 #include "core/revolve.hpp"
+#include "core/tiered_slot_store.hpp"
 #include "nn/chain_runner.hpp"
 #include "nn/layers.hpp"
 #include "sync_disk_store.hpp"
@@ -62,7 +63,7 @@ int main() {
     return run;
   };
 
-  core::RamSlotStore ram(schedule.num_slots());
+  core::TieredSlotStore ram(schedule.num_slots());
   const Run reference = run_with(ram);
   float grad_scale = 0.0F;
   for (const Tensor& g : reference.grads) {
@@ -98,10 +99,10 @@ int main() {
   const Run spilled = run_with(disk);
   report("disk", spilled, disk.disk_writes(), disk.disk_reads());
 
-  core::CompressedSlotStore half(schedule.num_slots(), core::SlotCodec::Fp16);
+  core::TieredSlotStore half(schedule.num_slots(), core::SlotCodec::Fp16);
   report("fp16", run_with(half), 0, 0);
 
-  core::CompressedSlotStore int8(schedule.num_slots(), core::SlotCodec::Int8);
+  core::TieredSlotStore int8(schedule.num_slots(), core::SlotCodec::Int8);
   report("int8", run_with(int8), 0, 0);
 
   std::printf("\nfp16 halves and int8 quarters checkpoint RAM; disk spill "

@@ -1,16 +1,15 @@
 // Synchronous spill baseline for the disk benches (E10, E15, --compress):
-// an AsyncDiskSlotStore whose every put is flushed to disk before it
+// a TieredSlotStore whose every put is flushed to disk before it
 // returns and which never sees the replay lookahead, so no write hides
 // behind compute, nothing is prefetched, and every restore of a disk slot
 // is a blocking read on the training thread.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
 
-#include "core/async_slot_store.hpp"
+#include "core/tiered_slot_store.hpp"
 
 namespace edgetrain::bench {
 
@@ -18,19 +17,12 @@ class SyncDiskStore final : public core::SlotStore {
  public:
   SyncDiskStore(int num_slots, int first_disk_slot, std::string directory,
                 core::SlotCodec codec = core::SlotCodec::None)
-      : first_disk_slot_(first_disk_slot),
-        store_(num_slots, first_disk_slot, std::move(directory),
+      : store_(num_slots, first_disk_slot, std::move(directory),
                options_for(codec)) {}
 
   void put(std::int32_t slot, const Tensor& value) override {
     store_.put(slot, value);
     store_.flush();
-    if (slot >= first_disk_slot_) {
-      plain_seen_ += value.bytes();
-      encoded_seen_ += static_cast<std::size_t>(std::llround(
-          store_.measured_slot_ratio(slot) *
-          static_cast<double>(value.bytes())));
-    }
   }
   [[nodiscard]] Tensor get(std::int32_t slot) override {
     return store_.get(slot);
@@ -53,12 +45,10 @@ class SyncDiskStore final : public core::SlotStore {
   }
   [[nodiscard]] std::int64_t disk_reads() const { return store_.disk_reads(); }
 
-  /// Cumulative encoded/plaintext bytes over every spilled put (1.0 when
-  /// nothing was spilled): the measured compression on real activations.
+  /// Cumulative encoded/plaintext bytes over every coded spill (1.0 when
+  /// nothing was encoded): the measured compression on real activations.
   [[nodiscard]] double measured_ratio() const {
-    return plain_seen_ == 0 ? 1.0
-                            : static_cast<double>(encoded_seen_) /
-                                  static_cast<double>(plain_seen_);
+    return store_.measured_ratio();
   }
 
  private:
@@ -68,10 +58,7 @@ class SyncDiskStore final : public core::SlotStore {
     return options;
   }
 
-  int first_disk_slot_;
-  core::AsyncDiskSlotStore store_;
-  std::size_t plain_seen_ = 0;
-  std::size_t encoded_seen_ = 0;
+  core::TieredSlotStore store_;
 };
 
 }  // namespace edgetrain::bench

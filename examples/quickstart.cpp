@@ -7,7 +7,7 @@
 //   4. observe that gradients match full storage while peak memory drops.
 //
 // With --async-io the same loop spills checkpoints to disk through the
-// write-behind/prefetching AsyncDiskSlotStore (DESIGN.md section 11):
+// write-behind/prefetching TieredSlotStore (DESIGN.md section 11):
 // gradients stay bit-identical while the spill IO overlaps recompute.
 //
 // With --compress[=lossless|fp16|bf16|bitmap|bitmap-fp16] checkpoints rest
@@ -40,11 +40,11 @@
 
 #include "calib/calibrate.hpp"
 #include "calib/chain_costs.hpp"
-#include "core/async_slot_store.hpp"
 #include "core/disk_revolve.hpp"
 #include "core/dynprog.hpp"
 #include "core/executor.hpp"
 #include "core/revolve.hpp"
+#include "core/tiered_slot_store.hpp"
 #include "insitu/quant_classifier.hpp"
 #include "insitu/teacher.hpp"
 #include "models/small_nets.hpp"
@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
     std::filesystem::create_directories(dir);
     core::AsyncDiskSlotStoreOptions store_options;
     store_options.codec = codec;
-    store = std::make_unique<core::AsyncDiskSlotStore>(
+    store = std::make_unique<core::TieredSlotStore>(
         schedule.num_slots(), /*first_disk_slot=*/options.ram_slots + 1, dir,
         store_options);
     std::printf("schedule: two-level disk revolve, 2 RAM slots + %d disk "
@@ -199,10 +199,6 @@ int main(int argc, char** argv) {
     const int slots =
         solver.min_free_slots_for_rho(1.3, measured.backward_ratio());
     schedule = solver.make_schedule(slots);
-    if (codec != core::SlotCodec::None) {
-      store = std::make_unique<core::CompressedSlotStore>(schedule.num_slots(),
-                                                          codec);
-    }
     std::printf("schedule: measured-cost plan, %d free slots for rho <= 1.3 "
                 "(measured rho %.3f; slot codec: %s)\n\n",
                 slots, solver.recompute_factor(slots, measured.backward_ratio()),
@@ -210,13 +206,14 @@ int main(int argc, char** argv) {
   } else {
     const int slots = core::revolve::min_free_slots_for_rho(net.size(), 1.3);
     schedule = core::revolve::make_schedule(net.size(), slots);
-    if (codec != core::SlotCodec::None) {
-      store = std::make_unique<core::CompressedSlotStore>(schedule.num_slots(),
-                                                          codec);
-    }
     std::printf("schedule: %d free checkpoint slots for rho <= 1.3 "
                 "(full storage would hold %d activations; slot codec: %s)\n\n",
                 slots, net.size(), core::to_string(codec).c_str());
+  }
+  if (!store) {
+    // RAM checkpoints: shared handles, or codec blobs with --compress.
+    store =
+        std::make_unique<core::TieredSlotStore>(schedule.num_slots(), codec);
   }
 
   // 3. Train on random batches of a synthetic 4-class problem.
@@ -268,9 +265,7 @@ int main(int argc, char** argv) {
       return ops::softmax_xent_backward(result.probs, labels);
     };
     const core::ExecutionResult result =
-        store != nullptr
-            ? executor.run(runner, schedule, x, loss_grad, *store)
-            : executor.run(runner, schedule, x, loss_grad);
+        executor.run(runner, schedule, x, loss_grad, *store);
     optimizer.step();
 
     if (step % 5 == 0) {

@@ -87,7 +87,7 @@ struct CostModel {
   /// Forward-unit cost of writing / reading a disk checkpoint.
   double disk_write_cost = 0.0;
   double disk_read_cost = 0.0;
-  /// Model disk IO as overlapped with compute (AsyncDiskSlotStore): a
+  /// Model disk IO as overlapped with compute (TieredSlotStore disk tier): a
   /// single FIFO background worker with bounded staging, simulated as a
   /// pipeline. io_cost then accumulates only the *stall* time the pipeline
   /// cannot hide -- writes stall when the write-staging budget is full,

@@ -210,7 +210,7 @@ std::int64_t sweep_disk(const SweepConfig& config, const CaseVisitor& visit) {
           if (!allow_disk) continue;
           // Overlapped variant: the same grid point solved with async-IO
           // pricing and interpreted under the pipeline model (the
-          // AsyncDiskSlotStore configuration). The overlap DP is an
+          // TieredSlotStore configuration). The overlap DP is an
           // optimistic planning heuristic, so the sound wall-clock bound
           // is the *serial* total of the emitted schedule -- stalls only
           // accrue while the worker is busy, so the pipeline can never be

@@ -8,7 +8,7 @@
 #include <random>
 #include <thread>
 
-#include "core/async_slot_store.hpp"
+#include "core/tiered_slot_store.hpp"
 #include "tensor/convert.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/parallel.hpp"
@@ -187,8 +187,8 @@ struct IoFit {
 void measure_disk(const CalibrationOptions& options, IoFit* write_fit,
                   IoFit* read_fit) {
   std::filesystem::create_directories(options.scratch_dir);
-  core::AsyncDiskSlotStore store(/*num_slots=*/1, /*first_disk_slot=*/0,
-                                 options.scratch_dir);
+  core::TieredSlotStore store(/*num_slots=*/1, /*first_disk_slot=*/0,
+                              options.scratch_dir);
   std::mt19937 rng(13);
 
   // A write is timed to completion (put + flush); with no replay running

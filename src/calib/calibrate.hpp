@@ -3,7 +3,7 @@
 // calibrate() times the three substrates a training schedule actually
 // spends wall-clock in -- compute kernels (GEMM and conv forward+backward,
 // across a sweep of worker-thread counts), memory copies, and spill IO
-// through the real AsyncDiskSlotStore path (so EDGETRAIN_DISK_LATENCY_US
+// through the real TieredSlotStore path (so EDGETRAIN_DISK_LATENCY_US
 // and SD bandwidth are observed, not assumed) -- and fits the DeviceModel
 // the planners consume. The probes auto-scale their iteration counts until a
 // sample exceeds min_sample_seconds and report the minimum over repeats

@@ -14,7 +14,7 @@
 //     its real sub-linear scaling);
 //   * memcpy bandwidth (checkpoint stores copy activations around);
 //   * SD/disk spill bandwidth and fixed per-op latency, measured through
-//     the same AsyncDiskSlotStore path training uses (so an injected
+//     the same TieredSlotStore path training uses (so an injected
 //     EDGETRAIN_DISK_LATENCY_US shows up here, exactly as it would in a
 //     training pass).
 //

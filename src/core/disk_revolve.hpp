@@ -48,7 +48,7 @@ struct DiskRevolveOptions {
   std::vector<double> spill_slot_ratios;
   bool allow_disk = true;   ///< disable to recover single-level Revolve
   /// Price disk IO as overlapped with recompute instead of serial, matching
-  /// AsyncDiskSlotStore: a write is hidden under the advance it trails
+  /// TieredSlotStore: a write is hidden under the advance it trails
   /// (max(j, w) instead of j + w) and a restore is discounted by the
   /// guaranteed compute of the sub-segment reversed while it prefetches
   /// (max(r - window, 0) instead of r). This shifts the DP's splits toward

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/tiered_slot_store.hpp"
 #include "tensor/alloc.hpp"
 
 namespace edgetrain::core {
@@ -17,7 +18,7 @@ ExecutionResult ScheduleExecutor::run(ChainRunner& runner,
                                       const Schedule& schedule,
                                       const Tensor& input,
                                       const LossGradFn& loss_grad) const {
-  RamSlotStore store(schedule.num_slots());
+  TieredSlotStore store(schedule.num_slots());
   return run(runner, schedule, input, loss_grad, store);
 }
 
@@ -47,7 +48,7 @@ ExecutionResult ScheduleExecutor::run(ChainRunner& runner,
   result.baseline_bytes = probe.baseline_bytes();
 
   // Hand the store the full action tape so lookahead-capable backends
-  // (AsyncDiskSlotStore) can prefetch upcoming restores during recompute.
+  // (TieredSlotStore) can prefetch upcoming restores during recompute.
   // RAII so end_replay fires on every exit path, including the throws the
   // fault-injection tests drive through the middle of a replay.
   struct ReplayScope {

@@ -69,7 +69,7 @@ struct ExecutionResult {
 class ScheduleExecutor {
  public:
   /// Executes `schedule` on `runner` starting from `input`, keeping
-  /// checkpoints in a RamSlotStore.
+  /// checkpoints in a RAM-only TieredSlotStore.
   /// Throws std::logic_error on schedule/runner disagreement (the schedule
   /// should have been validate()d first; the executor still guards).
   [[nodiscard]] ExecutionResult run(ChainRunner& runner,

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
-#include "core/async_slot_store.hpp"
 #include "core/periodic.hpp"
 #include "core/revolve.hpp"
 #include "core/sequential.hpp"
+#include "core/tiered_slot_store.hpp"
 #include "tensor/ops.hpp"
 
 namespace edgetrain::nn {
@@ -32,21 +33,15 @@ core::Schedule build_schedule(int num_steps, const TrainerOptions& options) {
 
 std::unique_ptr<core::SlotStore> build_store(const core::Schedule& schedule,
                                              const TrainerOptions& options) {
-  switch (options.backend) {
-    case SlotBackend::Ram:
-      return std::make_unique<core::RamSlotStore>(schedule.num_slots());
-    case SlotBackend::DiskSpill:
-      return std::make_unique<core::AsyncDiskSlotStore>(
-          schedule.num_slots(), /*first_disk_slot=*/1,
-          options.spill_directory);
-    case SlotBackend::Fp16:
-      return std::make_unique<core::CompressedSlotStore>(
-          schedule.num_slots(), core::SlotCodec::Fp16);
-    case SlotBackend::Int8:
-      return std::make_unique<core::CompressedSlotStore>(
-          schedule.num_slots(), core::SlotCodec::Int8);
+  if (options.spill_directory.empty()) {
+    return std::make_unique<core::TieredSlotStore>(schedule.num_slots(),
+                                                   options.slot_codec);
   }
-  throw std::invalid_argument("Trainer: unknown backend");
+  core::AsyncDiskSlotStoreOptions store_options;
+  store_options.codec = options.slot_codec;
+  return std::make_unique<core::TieredSlotStore>(
+      schedule.num_slots(), /*first_disk_slot=*/1, options.spill_directory,
+      std::move(store_options));
 }
 
 std::unique_ptr<Optimizer> build_optimizer(LayerChain& chain,

@@ -3,8 +3,8 @@
 // Bundles the pieces every caller was wiring by hand -- optimizer, chain
 // runner, checkpointing schedule, slot store, loss head -- behind one
 // configuration struct. The strategy enum covers every scheduler in the
-// library, so switching from full storage to Revolve (or spilling
-// checkpoints to disk) is a one-line change.
+// library, so switching from full storage to Revolve (or compressing or
+// spilling checkpoints to disk) is a one-line change.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/executor.hpp"
+#include "core/slot_codec.hpp"
 #include "nn/chain.hpp"
 #include "nn/chain_runner.hpp"
 #include "nn/optim.hpp"
@@ -27,13 +28,6 @@ enum class CheckpointStrategy : std::uint8_t {
   Periodic,     ///< uniform-stride checkpoints
 };
 
-enum class SlotBackend : std::uint8_t {
-  Ram,       ///< full-precision in-memory checkpoints
-  DiskSpill, ///< all non-input slots round-trip through files
-  Fp16,      ///< half-precision checkpoints (2x memory saving, lossy)
-  Int8,      ///< 8-bit affine checkpoints (4x memory saving, lossy)
-};
-
 enum class OptimizerKind : std::uint8_t {
   Sgd,   ///< SGD with optional momentum (momentum/weight_decay options)
   Adam,  ///< Adam with bias correction (adam_* options)
@@ -42,8 +36,14 @@ enum class OptimizerKind : std::uint8_t {
 struct TrainerOptions {
   CheckpointStrategy strategy = CheckpointStrategy::FullStorage;
   int free_slots = 2;          ///< checkpoint budget (ignored for FullStorage)
-  SlotBackend backend = SlotBackend::Ram;
-  std::string spill_directory = "/tmp";  ///< for SlotBackend::DiskSpill
+  /// Checkpoint codec (core/slot_codec.hpp): None keeps shared handles,
+  /// Lossless/Bitmap are bit-exact, Fp16/Bf16/Int8 trade a small gradient
+  /// error for 2x/4x fewer bytes. Applies to the spill files when
+  /// spill_directory is set, else to the RAM slots.
+  core::SlotCodec slot_codec = core::SlotCodec::None;
+  /// Non-empty: every non-input slot spills to files in this directory
+  /// (write-behind, prefetched restores). Empty: checkpoints stay in RAM.
+  std::string spill_directory;
   OptimizerKind optimizer = OptimizerKind::Sgd;
   float lr = 0.05F;
   float momentum = 0.9F;

@@ -7,7 +7,7 @@
 //
 //   EDGETRAIN_DISK_LATENCY_US=<microseconds per spill write/read>
 //
-// AsyncDiskSlotStore routes every spill-file write and read through
+// TieredSlotStore routes every spill-file write and read through
 // apply_disk_latency() (see core/spill_io.cpp), so the same knob throttles
 // the store used synchronously (flush after every put, no prefetch) and
 // overlapped identically -- the honest comparison bench_async_io is built

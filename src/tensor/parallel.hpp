@@ -67,7 +67,7 @@ void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
 /// producer can rely on FIFO ordering for per-key consistency (e.g. a spill
 /// write enqueued before a prefetch read of the same slot completes first).
 /// Jobs must not throw: the worker catches nothing; propagate errors through
-/// captured state (core::AsyncDiskSlotStore stores an exception_ptr).
+/// captured state (core::TieredSlotStore stores an exception_ptr).
 class BackgroundWorker {
  public:
   BackgroundWorker();

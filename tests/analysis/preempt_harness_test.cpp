@@ -5,7 +5,7 @@
 //     (seed, site, per-thread ordinal), so the decision stream is
 //     bit-reproducible per seed. Asserted directly on decision_hash and on
 //     the order-independent XOR fingerprint of full multi-threaded runs.
-//   * adversarial workloads -- a fixed seed set drives AsyncDiskSlotStore
+//   * adversarial workloads -- a fixed seed set drives TieredSlotStore
 //     and FleetServer through perturbed interleavings (every annotated
 //     Mutex/CondVar operation is a potential yield/sleep point when built
 //     with EDGETRAIN_GUARDS or EDGETRAIN_PREEMPT) while the tests hold the
@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "analysis/race/race.hpp"
-#include "core/async_slot_store.hpp"
+#include "core/tiered_slot_store.hpp"
 #include "fleet/server.hpp"
 #include "tensor/tensor.hpp"
 
@@ -142,8 +142,8 @@ TEST_F(PreemptHarnessTest, AsyncSlotStoreSurvivesPerturbedSchedules) {
   for (const std::uint64_t seed : kSeedSet) {
     set_seed(seed);
     {
-      core::AsyncDiskSlotStore store(4, /*first_disk_slot=*/2,
-                                     test_dir("store_" + std::to_string(seed)));
+      core::TieredSlotStore store(4, /*first_disk_slot=*/2,
+                                  test_dir("store_" + std::to_string(seed)));
       std::atomic<bool> done{false};
       std::thread poller([&] {
         while (!done.load(std::memory_order_acquire)) {

@@ -8,7 +8,7 @@
 //     after the other: no interleaving luck required, 100% deterministic.
 //   * clean programs MUST NOT be flagged -- common-lock, fork/join, and
 //     release/acquire-handoff fixtures assert zero reports, and a workload
-//     over the real instrumented subsystems (AsyncDiskSlotStore,
+//     over the real instrumented subsystems (TieredSlotStore,
 //     FleetServer, ThreadPool) asserts the default suite stays at zero.
 //
 // The detector runtime is always compiled (this file calls the hooks
@@ -24,7 +24,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/async_slot_store.hpp"
+#include "core/tiered_slot_store.hpp"
 #include "fleet/server.hpp"
 #include "tensor/parallel.hpp"
 #include "tensor/tensor.hpp"
@@ -214,8 +214,7 @@ std::string test_dir(const std::string& name) {
 TEST_F(RaceDetectorTest, CleanRunAsyncSlotStoreProducesZeroReports) {
   std::mt19937 rng(21);
   {
-    core::AsyncDiskSlotStore store(6, /*first_disk_slot=*/3,
-                                   test_dir("store"));
+    core::TieredSlotStore store(6, /*first_disk_slot=*/3, test_dir("store"));
     std::atomic<bool> done{false};
     // Poller thread: the access pattern that motivated guarding the RAM
     // tier with mu_ in the first place.

@@ -17,7 +17,7 @@
 #include "core/dynprog.hpp"
 #include "core/executor.hpp"
 #include "core/revolve.hpp"
-#include "core/slot_store.hpp"
+#include "core/tiered_slot_store.hpp"
 #include "models/resnet.hpp"
 #include "models/small_nets.hpp"
 #include "nn/chain_runner.hpp"
@@ -102,7 +102,7 @@ TEST(CalibrateSlow, MeasuredPlanBeatsUnitOnPyramid) {
   auto run_with = [&](const core::Schedule& schedule) {
     chain.zero_grad();
     chain.clear_saved();
-    core::RamSlotStore store(schedule.num_slots());
+    core::TieredSlotStore store(schedule.num_slots());
     nn::LayerChainRunner runner(chain, nn::Phase::Train);
     runner.begin_pass();
     core::ScheduleExecutor executor;

@@ -20,7 +20,7 @@
 #include "core/executor.hpp"
 #include "core/planner.hpp"
 #include "core/revolve.hpp"
-#include "core/slot_store.hpp"
+#include "core/tiered_slot_store.hpp"
 #include "models/resnet.hpp"
 #include "models/small_nets.hpp"
 #include "nn/chain_runner.hpp"
@@ -52,7 +52,10 @@ void write_bytes(const std::string& path,
                  const std::vector<std::uint8_t>& bytes) {
   std::FILE* file = std::fopen(path.c_str(), "wb");
   ASSERT_NE(file, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+  // An empty vector's data() may be null, which fwrite must not be given.
+  if (!bytes.empty()) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+  }
   ASSERT_EQ(std::fclose(file), 0);
 }
 
@@ -410,7 +413,7 @@ TEST(Feeders, MeasuredSlotRatiosThreadThroughEveryPlannerInput) {
     }
 
    private:
-    core::RamSlotStore inner_;
+    core::TieredSlotStore inner_;
   };
   const StepRatioStore store(5);
   const std::vector<double> ratios = measured_slot_ratios(store, 1, 3);
@@ -516,7 +519,7 @@ TEST(Executor, MeasuredScheduleGradsBitIdentical) {
   auto run_with = [&](const core::Schedule& schedule) {
     chain.zero_grad();
     chain.clear_saved();
-    core::RamSlotStore store(schedule.num_slots());
+    core::TieredSlotStore store(schedule.num_slots());
     nn::LayerChainRunner runner(chain, nn::Phase::Train);
     runner.begin_pass();
     core::ScheduleExecutor executor;

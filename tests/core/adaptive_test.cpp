@@ -14,7 +14,7 @@
 #include "core/adaptive.hpp"
 #include "core/executor.hpp"
 #include "core/slot_codec.hpp"
-#include "core/slot_store.hpp"
+#include "core/tiered_slot_store.hpp"
 #include "models/small_nets.hpp"
 #include "nn/chain_runner.hpp"
 #include "nn/layers.hpp"
@@ -23,7 +23,7 @@
 namespace edgetrain::core {
 namespace {
 
-/// Wraps a RamSlotStore (which is final) but reports a configurable
+/// Wraps a TieredSlotStore (which is final) but reports a configurable
 /// measured ratio for every slot -- drives the latch deterministically
 /// without a real codec.
 class FakeRatioStore : public SlotStore {
@@ -46,7 +46,7 @@ class FakeRatioStore : public SlotStore {
   double ratio = 1.0;
 
  private:
-  RamSlotStore inner_;
+  TieredSlotStore inner_;
 };
 
 AdaptiveReplannerOptions unit_options(double capacity) {
@@ -185,7 +185,7 @@ TEST(AdaptiveReplannerTest,
     return grads;
   };
 
-  RamSlotStore full_store(chain.size() + 1);
+  TieredSlotStore full_store(chain.size() + 1);
   const std::vector<Tensor> reference =
       run(full_storage_schedule(chain.size()), full_store, ExecutorHooks{});
 
@@ -199,8 +199,7 @@ TEST(AdaptiveReplannerTest,
   ASSERT_EQ(replanner.free_slots(), 2);
 
   // Pass 1 under the conservative plan.
-  CompressedSlotStore store1(replanner.schedule().num_slots(),
-                             SlotCodec::Bitmap);
+  TieredSlotStore store1(replanner.schedule().num_slots(), SlotCodec::Bitmap);
   const std::vector<Tensor> pass1 =
       run(replanner.schedule(), store1, replanner.hooks(store1));
   ASSERT_EQ(pass1.size(), reference.size());
@@ -215,8 +214,7 @@ TEST(AdaptiveReplannerTest,
   EXPECT_GT(replanner.free_slots(), 2);  // measured ratios bought slots
 
   // Pass 2 under the re-planned schedule: bit-identical gradients.
-  CompressedSlotStore store2(replanner.schedule().num_slots(),
-                             SlotCodec::Bitmap);
+  TieredSlotStore store2(replanner.schedule().num_slots(), SlotCodec::Bitmap);
   const std::vector<Tensor> pass2 =
       run(replanner.schedule(), store2, replanner.hooks(store2));
   ASSERT_EQ(pass2.size(), reference.size());

@@ -1,9 +1,9 @@
-// AsyncDiskSlotStore: write-behind spills, prefetched restores, and the
+// TieredSlotStore: write-behind spills, prefetched restores, and the
 // failure paths that must stay as loud as a blocking read's. The
 // concurrency tests are written to run clean under TSan (tsan CI job);
 // injected IO latency and faults go through AsyncDiskSlotStoreOptions so
 // each test controls its own timing instead of sleeping and hoping.
-#include "core/async_slot_store.hpp"
+#include "core/tiered_slot_store.hpp"
 
 #include <gtest/gtest.h>
 
@@ -35,8 +35,7 @@ void sleep_ms(int ms) {
 
 TEST(AsyncDiskSlotStore, RoundTripsRamAndDiskSlots) {
   std::mt19937 rng(7);
-  AsyncDiskSlotStore store(4, /*first_disk_slot=*/2,
-                           test_dir("async_roundtrip"));
+  TieredSlotStore store(4, /*first_disk_slot=*/2, test_dir("async_roundtrip"));
   Tensor ram_tensor = Tensor::randn(Shape{2, 3}, rng);
   Tensor disk_tensor = Tensor::randn(Shape{4, 5}, rng);
   store.put(0, ram_tensor);
@@ -63,7 +62,7 @@ TEST(AsyncDiskSlotStore, GetBeforeFlushIsServedFromStagingWithoutDiskRead) {
   options.io_fault = [](std::int32_t, bool is_write) {
     if (is_write) sleep_ms(30);  // hold the write in flight
   };
-  AsyncDiskSlotStore store(2, 0, test_dir("async_writebehind"), options);
+  TieredSlotStore store(2, 0, test_dir("async_writebehind"), options);
   Tensor t = Tensor::randn(Shape{32}, rng);
   store.put(0, t);
   Tensor back = store.get(0);  // while the background write still runs
@@ -83,7 +82,7 @@ TEST(AsyncDiskSlotStore, PutReturnsBeforeTheWriteCompletes) {
     write_started = true;
     while (!write_released) sleep_ms(1);
   };
-  AsyncDiskSlotStore store(1, 0, test_dir("async_nonblocking"), options);
+  TieredSlotStore store(1, 0, test_dir("async_nonblocking"), options);
   store.put(0, Tensor::zeros(Shape{16}));  // must not wait for the write
   EXPECT_EQ(store.disk_writes(), 0);
   write_released = true;
@@ -100,7 +99,7 @@ TEST(AsyncDiskSlotStore, StagingBudgetBackPressuresPut) {
   options.io_fault = [](std::int32_t, bool is_write) {
     if (is_write) sleep_ms(5);
   };
-  AsyncDiskSlotStore store(2, 0, test_dir("async_backpressure"), options);
+  TieredSlotStore store(2, 0, test_dir("async_backpressure"), options);
   store.put(0, Tensor::zeros(Shape{64}));
   store.put(1, Tensor::zeros(Shape{64}));
   EXPECT_GE(store.disk_writes(), 1);
@@ -115,7 +114,7 @@ TEST(AsyncDiskSlotStore, ResidentBytesChargesStagedWrites) {
     if (!is_write) return;
     while (!release) sleep_ms(1);
   };
-  AsyncDiskSlotStore store(1, 0, test_dir("async_staging_ram"), options);
+  TieredSlotStore store(1, 0, test_dir("async_staging_ram"), options);
   Tensor t = Tensor::zeros(Shape{128});
   store.put(0, t);
   // The spill has been accepted but not flushed: its bytes are still RAM
@@ -134,7 +133,7 @@ TEST(AsyncDiskSlotStore, FailedBackgroundWriteRethrowsOnTheOwningGet) {
       throw std::runtime_error("injected write failure on slot 1");
     }
   };
-  AsyncDiskSlotStore store(2, 0, test_dir("async_write_fail"), options);
+  TieredSlotStore store(2, 0, test_dir("async_write_fail"), options);
   Tensor ok = Tensor::zeros(Shape{8});
   store.put(0, ok);
   store.put(1, Tensor::zeros(Shape{8}));
@@ -162,7 +161,7 @@ TEST(AsyncDiskSlotStore, FailedBackgroundWriteRethrowsOnTheOwningGet) {
 TEST(AsyncDiskSlotStore, PrefetchedBitFlipRaisesDescriptiveChecksumError) {
   std::mt19937 rng(29);
   const std::string dir = test_dir("async_bitflip");
-  AsyncDiskSlotStore store(2, 0, dir);
+  TieredSlotStore store(2, 0, dir);
   Tensor t = Tensor::randn(Shape{16, 16}, rng);
   store.put(0, t);
   store.flush();
@@ -196,7 +195,7 @@ TEST(AsyncDiskSlotStore, PrefetchedBitFlipRaisesDescriptiveChecksumError) {
 TEST(AsyncDiskSlotStore, TruncatedSpillReportsDescriptiveError) {
   std::mt19937 rng(31);
   const std::string dir = test_dir("async_truncated");
-  AsyncDiskSlotStore store(2, 0, dir);
+  TieredSlotStore store(2, 0, dir);
   Tensor t = Tensor::randn(Shape{8, 8}, rng);
   store.put(1, t);
   store.flush();
@@ -208,6 +207,78 @@ TEST(AsyncDiskSlotStore, TruncatedSpillReportsDescriptiveError) {
     const std::string what = error.what();
     EXPECT_NE(what.find("truncated or corrupt"), std::string::npos) << what;
     EXPECT_NE(what.find(std::to_string(t.bytes())), std::string::npos) << what;
+  }
+}
+
+// Raw and coded spills share one file format, so a file's header no longer
+// says which kind of payload it holds: the size and CRC the store keeps in
+// RAM must catch a raw spill file copied over a Lossless slot's file, on
+// the blocking read and on the prefetch path alike -- both when the sizes
+// differ and when they happen to match exactly.
+TEST(TieredSlotStore, RawSpillOverLosslessSlotIsRejectedOnEveryGetPath) {
+  std::mt19937 rng(41);
+  // A post-ReLU-like payload whose Lossless blob is a whole number of
+  // floats long, so a raw spill of exactly the same byte size exists.
+  Tensor coded;
+  std::size_t blob_bytes = 0;
+  for (std::int64_t n = 256;; ++n) {
+    coded = Tensor::randn(Shape{n}, rng);
+    for (std::int64_t i = 0; i < n; ++i) {
+      coded.data()[i] = std::max(coded.data()[i], 0.0F);
+    }
+    blob_bytes = codec::encode(SlotCodec::Lossless, coded).size();
+    if (blob_bytes % sizeof(float) == 0) break;
+  }
+  ASSERT_NE(blob_bytes, coded.bytes());
+  const auto same_size = static_cast<std::int64_t>(blob_bytes / sizeof(float));
+
+  struct Case {
+    const char* name;
+    Tensor raw;
+    const char* expected;  ///< substring of the rejection message
+  };
+  const Case cases[] = {
+      {"raw_same_shape", Tensor::randn(coded.shape(), rng),
+       "truncated or corrupt"},
+      {"raw_same_size", Tensor::randn(Shape{same_size}, rng), "checksum"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string raw_dir = test_dir(std::string("tiered_raw_") + c.name);
+    const std::string coded_dir =
+        test_dir(std::string("tiered_lossless_") + c.name);
+    TieredSlotStore raw(1, 0, raw_dir);
+    raw.put(0, c.raw);
+    raw.flush();
+    AsyncDiskSlotStoreOptions options;
+    options.codec = SlotCodec::Lossless;
+    TieredSlotStore store(1, 0, coded_dir, options);
+    store.put(0, coded);
+    store.flush();
+    ASSERT_EQ(store.external_bytes(), blob_bytes);
+    std::filesystem::copy_file(
+        raw_dir + "/slot_0.ckpt", coded_dir + "/slot_0.ckpt",
+        std::filesystem::copy_options::overwrite_existing);
+
+    const auto expect_rejected = [&](const char* path) {
+      try {
+        (void)store.get(0);
+        ADD_FAILURE() << path << ": a raw spill decoded as a Lossless slot";
+      } catch (const std::runtime_error& error) {
+        EXPECT_NE(std::string(error.what()).find(c.expected),
+                  std::string::npos)
+            << path << ": " << error.what();
+      }
+    };
+    expect_rejected("blocking read");
+    Schedule tape(1, 2);
+    tape.restore(0, 0);
+    store.begin_replay(tape);
+    store.on_replay_position(0);
+    expect_rejected("prefetch");
+    store.end_replay();
+    EXPECT_EQ(store.blocking_reads(), 0);
+    EXPECT_EQ(store.prefetch_hits(), 0);
   }
 }
 
@@ -232,8 +303,8 @@ TEST(AsyncDiskSlotStore, LossyBlobDecodesIdenticallyOnEveryGetPath) {
       if (!is_write) return;
       while (!release) sleep_ms(1);
     };
-    AsyncDiskSlotStore store(1, 0, test_dir("async_lossy_" + to_string(codec)),
-                             options);
+    TieredSlotStore store(1, 0, test_dir("async_lossy_" + to_string(codec)),
+                          options);
     store.put(0, t);
     EXPECT_TRUE(matches(store.get(0)));  // write held: served from staging
     EXPECT_EQ(store.write_behind_hits(), 1);
@@ -263,7 +334,7 @@ TEST(AsyncDiskSlotStore, DestructionJoinsWritesInFlight) {
       ++writes_entered;
       sleep_ms(10);
     };
-    AsyncDiskSlotStore store(4, 0, test_dir("async_dtor"), options);
+    TieredSlotStore store(4, 0, test_dir("async_dtor"), options);
     for (std::int32_t slot = 0; slot < 4; ++slot) {
       store.put(slot, Tensor::zeros(Shape{256}));
     }
@@ -283,7 +354,7 @@ TEST(AsyncDiskSlotStore, DropDuringInFlightWriteInvalidatesCleanly) {
     if (!is_write) return;
     while (!release) sleep_ms(1);
   };
-  AsyncDiskSlotStore store(1, 0, test_dir("async_drop_inflight"), options);
+  TieredSlotStore store(1, 0, test_dir("async_drop_inflight"), options);
   store.put(0, Tensor::zeros(Shape{32}));
   store.drop(0);  // supersedes the write still sitting in the worker
   release = true;
@@ -298,8 +369,7 @@ TEST(AsyncDiskSlotStore, DropDuringInFlightWriteInvalidatesCleanly) {
 // runtime errors are not (no corruption is injected here).
 TEST(AsyncDiskSlotStore, ConcurrentPutGetDropHammer) {
   std::mt19937 seed_rng(101);
-  AsyncDiskSlotStore store(6, /*first_disk_slot=*/2,
-                           test_dir("async_hammer"));
+  TieredSlotStore store(6, /*first_disk_slot=*/2, test_dir("async_hammer"));
 
   // A replay tape touching the shared slots keeps the prefetcher engaged
   // while the hammer threads mutate the same slots.
@@ -385,11 +455,11 @@ TEST(AsyncDiskSlotStore, ExecutorReplayPrefetchesAndMatchesSyncGradients) {
   Tensor x = Tensor::randn(Shape{1, 4, 8, 8}, rng);
   const Schedule schedule = revolve::make_schedule(8, 3);
 
-  RamSlotStore ram(schedule.num_slots());
+  TieredSlotStore ram(schedule.num_slots());
   const StoreRun reference = run_with_store(chain, schedule, x, ram);
 
-  AsyncDiskSlotStore async(schedule.num_slots(), /*first_disk_slot=*/1,
-                           test_dir("async_executor"));
+  TieredSlotStore async(schedule.num_slots(), /*first_disk_slot=*/1,
+                        test_dir("async_executor"));
   const StoreRun overlapped = run_with_store(chain, schedule, x, async);
   EXPECT_GT(async.disk_writes(), 0);
   // The executor announces the tape, so restores of flushed slots are
@@ -415,8 +485,7 @@ TEST(AsyncDiskSlotStore, ExecutorEndsReplayOnThrowingPaths) {
   Tensor x = Tensor::randn(Shape{1, 4, 8, 8}, rng);
   const Schedule schedule = revolve::make_schedule(6, 2);
 
-  AsyncDiskSlotStore async(schedule.num_slots(), 1,
-                           test_dir("async_abandon"));
+  TieredSlotStore async(schedule.num_slots(), 1, test_dir("async_abandon"));
   nn::LayerChainRunner runner(chain, nn::Phase::Train);
   runner.begin_pass();
   ScheduleExecutor executor;
@@ -427,7 +496,7 @@ TEST(AsyncDiskSlotStore, ExecutorEndsReplayOnThrowingPaths) {
                std::runtime_error);
 
   // The store is still usable for a full, successful replay.
-  RamSlotStore ram(schedule.num_slots());
+  TieredSlotStore ram(schedule.num_slots());
   const StoreRun reference = run_with_store(chain, schedule, x, ram);
   const StoreRun recovered = run_with_store(chain, schedule, x, async);
   EXPECT_EQ(
@@ -441,8 +510,7 @@ TEST(AsyncDiskSlotStore, ExecutorEndsReplayOnThrowingPaths) {
 // lockset race detector flags the unlocked variant deterministically.
 TEST(AsyncDiskSlotStore, RamTierPutGetDropIsSafeAgainstResidentBytesPolling) {
   std::mt19937 rng(91);
-  AsyncDiskSlotStore store(4, /*first_disk_slot=*/2,
-                           test_dir("async_ram_race"));
+  TieredSlotStore store(4, /*first_disk_slot=*/2, test_dir("async_ram_race"));
   const Tensor a = Tensor::randn(Shape{8, 8}, rng);
   const Tensor b = Tensor::randn(Shape{8, 8}, rng);
 
@@ -481,7 +549,7 @@ TEST(AsyncDiskSlotStore, RamTierPutGetDropIsSafeAgainstResidentBytesPolling) {
 TEST(DiskSlotStore, RoundTripsThroughFiles) {
   std::mt19937 rng(7);
   const std::string dir = test_dir("disk_roundtrip");
-  AsyncDiskSlotStore store(4, /*first_disk_slot=*/1, dir);
+  TieredSlotStore store(4, /*first_disk_slot=*/1, dir);
   Tensor ram_tensor = Tensor::randn(Shape{2, 3}, rng);
   Tensor disk_a = Tensor::randn(Shape{4, 5}, rng);
   Tensor disk_b = Tensor::randn(Shape{3, 7}, rng);
@@ -511,7 +579,7 @@ TEST(DiskSlotStore, RoundTripsThroughFiles) {
 }
 
 TEST(DiskSlotStore, OverwriteReplacesBytes) {
-  AsyncDiskSlotStore store(2, 0, test_dir("async_overwrite"));
+  TieredSlotStore store(2, 0, test_dir("async_overwrite"));
   store.put(0, Tensor::zeros(Shape{16}));
   store.put(0, Tensor::zeros(Shape{4}));
   store.flush();
@@ -522,7 +590,7 @@ TEST(DiskSlotStore, OverwriteReplacesBytes) {
 TEST(DiskSlotStore, BitFlippedSpillFileFailsChecksum) {
   std::mt19937 rng(29);
   const std::string dir = test_dir("async_bitflip_blocking");
-  AsyncDiskSlotStore store(2, /*first_disk_slot=*/0, dir);
+  TieredSlotStore store(2, /*first_disk_slot=*/0, dir);
   Tensor t = Tensor::randn(Shape{16, 16}, rng);
   store.put(0, t);
   store.flush();
@@ -549,7 +617,7 @@ TEST(DiskSlotStore, BitFlippedSpillFileFailsChecksum) {
 TEST(DiskSlotStore, TruncatedSpillFileReportsDescriptiveError) {
   std::mt19937 rng(37);
   const std::string dir = test_dir("disk_truncated_header");
-  AsyncDiskSlotStore store(2, /*first_disk_slot=*/0, dir);
+  TieredSlotStore store(2, /*first_disk_slot=*/0, dir);
   Tensor t = Tensor::randn(Shape{8, 8}, rng);
   store.put(0, t);
   store.flush();

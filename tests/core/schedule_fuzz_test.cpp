@@ -11,22 +11,23 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <memory>
 #include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/interp.hpp"
-#include "core/async_slot_store.hpp"
 #include "core/disk_revolve.hpp"
 #include "core/dynprog.hpp"
 #include "core/executor.hpp"
 #include "core/revolve.hpp"
 #include "core/sequential.hpp"
-#include "core/slot_store.hpp"
+#include "core/tiered_slot_store.hpp"
 #include "models/small_nets.hpp"
 #include "nn/chain_runner.hpp"
 #include "tensor/ops.hpp"
+#include "test_dir.hpp"
 
 namespace edgetrain::core {
 namespace {
@@ -383,7 +384,7 @@ TEST(ScheduleFuzzDiskTest, AsyncStoreMatchesFullStorageWithinStagingBudget) {
         << "iter=" << iter;
 
     // Execute the same schedule through real background IO.
-    AsyncDiskSlotStore store(schedule.num_slots(), ram + 1, dir);
+    TieredSlotStore store(schedule.num_slots(), ram + 1, dir);
     std::size_t peak_resident = 0;
     const std::vector<Tensor> grads = run(schedule, &store, &peak_resident);
     store.flush();
@@ -480,7 +481,7 @@ TEST(ScheduleFuzzCodecTest, AllFamiliesBitIdenticalUnderLosslessCodec) {
   for (const auto& [name, schedule] : schedules) {
     ASSERT_EQ(schedule.validate(), std::nullopt)
         << name << "\n" << schedule.to_string();
-    CompressedSlotStore store(schedule.num_slots(), SlotCodec::Lossless);
+    TieredSlotStore store(schedule.num_slots(), SlotCodec::Lossless);
     std::size_t peak_resident = 0;
     const std::vector<Tensor> grads = run(schedule, &store, &peak_resident);
 
@@ -573,7 +574,7 @@ TEST(ScheduleFuzzCodecTest, AllFamiliesBitIdenticalUnderBitmapCodec) {
   for (const auto& [name, schedule] : schedules) {
     ASSERT_EQ(schedule.validate(), std::nullopt)
         << name << "\n" << schedule.to_string();
-    CompressedSlotStore store(schedule.num_slots(), SlotCodec::Bitmap);
+    TieredSlotStore store(schedule.num_slots(), SlotCodec::Bitmap);
     const std::vector<Tensor> grads = run(schedule, &store);
 
     ASSERT_EQ(grads.size(), reference.size()) << name;
@@ -636,7 +637,7 @@ TEST(ScheduleFuzzCodecTest, Fp16CodecStaysWithinGradcheckTolerance) {
       run(full_storage_schedule(l), nullptr);
 
   const Schedule schedule = revolve::make_schedule(l, 2);
-  CompressedSlotStore store(schedule.num_slots(), SlotCodec::Fp16);
+  TieredSlotStore store(schedule.num_slots(), SlotCodec::Fp16);
   const std::vector<Tensor> grads = run(schedule, &store);
 
   EXPECT_DOUBLE_EQ(store.measured_ratio(), 0.5);
@@ -660,7 +661,7 @@ TEST(ScheduleFuzzCodecTest, Fp16CodecStaysWithinGradcheckTolerance) {
 }
 
 // The async store with the lossless codec: encoded blobs staged by
-// write-behind, spilled as ETSC files, prefetched back, and decoded on
+// write-behind, spilled, prefetched back, and decoded on
 // every read path must still give bit-identical gradients.
 TEST(ScheduleFuzzCodecTest, AsyncStoreLosslessCodecBitIdentical) {
   std::mt19937 net_rng(4040);
@@ -708,8 +709,8 @@ TEST(ScheduleFuzzCodecTest, AsyncStoreLosslessCodecBitIdentical) {
 
   AsyncDiskSlotStoreOptions store_options;
   store_options.codec = SlotCodec::Lossless;
-  AsyncDiskSlotStore store(schedule.num_slots(), /*first_disk_slot=*/3, dir,
-                           store_options);
+  TieredSlotStore store(schedule.num_slots(), /*first_disk_slot=*/3, dir,
+                        store_options);
   const std::vector<Tensor> grads = run(schedule, &store);
   store.flush();
 
@@ -719,6 +720,157 @@ TEST(ScheduleFuzzCodecTest, AsyncStoreLosslessCodecBitIdentical) {
         << "grad=" << g;
   }
 }
+
+// The store-configuration matrix: RAM handles, RAM codec blobs, spills and
+// coded spills each replay schedules from all four scheduler families with
+// gradients bit-identical to full storage, and the store's sampled resident
+// peak stays within the RAM slots the abstract interpreter counts (plus the
+// write/read staging budget for spilling configurations, and one mode byte
+// per resting blob for the codecs' raw fallback).
+struct StoreConfig {
+  const char* name;
+  bool spill;
+  SlotCodec codec;
+};
+
+class ScheduleFuzzStoreMatrixTest
+    : public ::testing::TestWithParam<StoreConfig> {};
+
+TEST_P(ScheduleFuzzStoreMatrixTest, AllFamiliesBitIdenticalWithinInterpBound) {
+  const StoreConfig config = GetParam();
+  std::mt19937 net_rng(4040);
+  nn::LayerChain chain = models::build_mini_resnet(1, 4, 3, 1, net_rng);
+  Tensor input = Tensor::randn(Shape{2, 1, 12, 12}, net_rng);
+  const std::vector<std::int32_t> labels{0, 2};
+  const int l = chain.size();
+
+  const LossGradFn loss_grad = [&](const Tensor& logits) {
+    const ops::SoftmaxXentResult r = ops::softmax_xent_forward(logits, labels);
+    return ops::softmax_xent_backward(r.probs, labels);
+  };
+
+  auto run = [&](const Schedule& schedule, SlotStore* store,
+                 std::size_t* peak_resident) {
+    chain.zero_grad();
+    chain.clear_saved();
+    nn::LayerChainRunner runner(chain, nn::Phase::Train);
+    runner.begin_pass();
+    ScheduleExecutor executor;
+    ExecutorHooks hooks;
+    if (store != nullptr) {
+      hooks.on_action = [&](std::int64_t, const Action&) {
+        *peak_resident = std::max(*peak_resident, store->resident_bytes());
+      };
+    }
+    const ExecutionResult result =
+        store != nullptr
+            ? executor.run(runner, schedule, input, loss_grad, *store, hooks)
+            : executor.run(runner, schedule, input, loss_grad);
+    std::vector<Tensor> grads{result.input_grad.clone()};
+    for (const nn::ParamRef& p : chain.params()) {
+      grads.push_back(p.grad->clone());
+    }
+    return grads;
+  };
+
+  const std::vector<Tensor> reference =
+      run(full_storage_schedule(l), nullptr, nullptr);
+
+  // Largest boundary activation: the byte unit behind the slot bound.
+  std::size_t unit_bytes = input.bytes();
+  {
+    chain.zero_grad();
+    chain.clear_saved();
+    nn::LayerChainRunner runner(chain, nn::Phase::Train);
+    runner.begin_pass();
+    Tensor cur = input;
+    for (int i = 0; i < l; ++i) {
+      cur = runner.forward(static_cast<std::int32_t>(i), cur, false);
+      unit_bytes = std::max(unit_bytes, cur.bytes());
+    }
+  }
+
+  // (family, schedule, first slot a spilling store puts on disk): every
+  // checkpoint but the chain input, except that the two-level plan keeps
+  // its own RAM slots.
+  struct Case {
+    std::string name;
+    Schedule schedule;
+    std::int32_t first_disk_slot;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"revolve(s=2)", revolve::make_schedule(l, 2), 1});
+  cases.push_back({"sequential(k=3)", seq::make_schedule(l, 3), 1});
+  {
+    const hetero::HeteroSolver solver(
+        std::vector<double>(static_cast<std::size_t>(l), 1.0), 2);
+    cases.push_back({"hetero(s=2)", solver.make_schedule(2), 1});
+  }
+  {
+    disk::DiskRevolveOptions options;
+    options.ram_slots = 2;
+    cases.push_back({"disk(ram=2)",
+                     disk::DiskRevolveSolver(l, options).make_schedule(), 3});
+  }
+
+  const std::string dir = test::test_dir(
+      std::string("fuzz_store_matrix_") + config.name);
+  for (const Case& c : cases) {
+    ASSERT_EQ(c.schedule.validate(), std::nullopt)
+        << c.name << "\n" << c.schedule.to_string();
+    AsyncDiskSlotStoreOptions store_options;
+    store_options.codec = config.codec;
+    const int num_slots = c.schedule.num_slots();
+    std::unique_ptr<TieredSlotStore> store =
+        config.spill ? std::make_unique<TieredSlotStore>(
+                           num_slots, c.first_disk_slot, dir, store_options)
+                     : std::make_unique<TieredSlotStore>(num_slots,
+                                                         config.codec);
+    std::size_t peak_resident = 0;
+    const std::vector<Tensor> grads =
+        run(c.schedule, store.get(), &peak_resident);
+    store->flush();
+
+    ASSERT_EQ(grads.size(), reference.size()) << c.name;
+    for (std::size_t g = 0; g < grads.size(); ++g) {
+      EXPECT_EQ(Tensor::max_abs_diff(grads[g], reference[g]), 0.0F)
+          << c.name << " grad=" << g;
+    }
+
+    analysis::CostModel cost;
+    int staging = 0;
+    if (config.spill) {
+      cost.first_disk_slot = c.first_disk_slot;
+      cost.overlapped_io = true;
+      cost.write_staging_slots = store_options.write_staging_slots;
+      cost.read_staging_slots = store_options.read_staging_slots;
+      staging = cost.write_staging_slots + cost.read_staging_slots;
+    }
+    const analysis::Report verdict =
+        analysis::interpret(c.schedule, cost, analysis::Bounds{});
+    EXPECT_EQ(verdict.error_count(), 0) << c.name << "\n" << verdict.summary();
+    const auto resting =
+        static_cast<std::size_t>(verdict.facts.peak_ram_slots_in_use + staging);
+    const std::size_t mode_bytes =
+        config.codec == SlotCodec::None ? 0 : resting;
+    EXPECT_LE(peak_resident, resting * unit_bytes + mode_bytes)
+        << c.name << " peak=" << peak_resident << " unit=" << unit_bytes
+        << " resting=" << resting;
+    EXPECT_GT(peak_resident, 0U) << c.name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StoreMatrix, ScheduleFuzzStoreMatrixTest,
+    ::testing::Values(StoreConfig{"RamHandles", false, SlotCodec::None},
+                      StoreConfig{"RamLossless", false, SlotCodec::Lossless},
+                      StoreConfig{"RamBitmap", false, SlotCodec::Bitmap},
+                      StoreConfig{"Disk", true, SlotCodec::None},
+                      StoreConfig{"DiskLossless", true, SlotCodec::Lossless},
+                      StoreConfig{"DiskBitmap", true, SlotCodec::Bitmap}),
+    [](const ::testing::TestParamInfo<StoreConfig>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 }  // namespace
 }  // namespace edgetrain::core

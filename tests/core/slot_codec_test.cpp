@@ -3,7 +3,7 @@
 // 65536 half patterns), the byte-plane + RLE lossless codec's bit-exactness
 // and raw-mode fallback bound, its measured compression on post-ReLU-like
 // activations, structural-corruption detection on decode, and the
-// CompressedSlotStore's accounting and guard poisoning.
+// RAM codec-blob store's accounting and guard poisoning.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "core/slot_codec.hpp"
-#include "core/slot_store.hpp"
+#include "core/tiered_slot_store.hpp"
 #include "tensor/alloc.hpp"
 #include "tensor/convert.hpp"
 #include "tensor/guards.hpp"
@@ -598,7 +598,7 @@ TEST(SlotCodecTest, PlanningRatiosAreSound) {
 }
 
 TEST(CompressedSlotStoreTest, BitmapStoreRecordsMeasuredPerSlotRatio) {
-  CompressedSlotStore store(3, SlotCodec::Bitmap);
+  TieredSlotStore store(3, SlotCodec::Bitmap);
   // Unwritten slots default to the conservative plaintext ratio.
   EXPECT_DOUBLE_EQ(store.measured_slot_ratio(0), 1.0);
 
@@ -621,11 +621,11 @@ TEST(CompressedSlotStoreTest, BitmapStoreRecordsMeasuredPerSlotRatio) {
   EXPECT_GT(store.measured_slot_ratio(1), 0.9);
 }
 
-// --- CompressedSlotStore --------------------------------------------------
+// --- TieredSlotStore with RAM codec blobs --------------------------------
 
 TEST(CompressedSlotStoreTest, LosslessPutGetIsBitExactAndAccounted) {
   std::mt19937 rng(61);
-  CompressedSlotStore store(4, SlotCodec::Lossless);
+  TieredSlotStore store(4, SlotCodec::Lossless);
   Tensor a = Tensor::randn(Shape{2, 3, 8, 8}, rng);
   // ReLU-like sparsity so the encoded footprint is measurably smaller.
   for (std::int64_t i = 0; i < a.numel(); ++i) {
@@ -647,7 +647,7 @@ TEST(CompressedSlotStoreTest, LosslessPutGetIsBitExactAndAccounted) {
 
 TEST(CompressedSlotStoreTest, Fp16StoreHalvesResidentBytes) {
   std::mt19937 rng(62);
-  CompressedSlotStore store(2, SlotCodec::Fp16);
+  TieredSlotStore store(2, SlotCodec::Fp16);
   const Tensor a = Tensor::randn(Shape{64, 32}, rng);
   store.put(0, a);
   EXPECT_EQ(store.resident_bytes(), a.bytes() / 2);
@@ -661,7 +661,7 @@ TEST(CompressedSlotStoreTest, Fp16StoreHalvesResidentBytes) {
 TEST(CompressedSlotStoreTest, DropPoisonsEncodedBlobUnderGuards) {
   if (!guards::kEnabled) GTEST_SKIP() << "guards disabled in this build";
   std::mt19937 rng(63);
-  CompressedSlotStore store(2, SlotCodec::Lossless);
+  TieredSlotStore store(2, SlotCodec::Lossless);
   const Tensor a = Tensor::randn(Shape{256}, rng);
   store.put(0, a);
   const std::int64_t fills_before = guards::poison_fill_count();
@@ -671,11 +671,11 @@ TEST(CompressedSlotStoreTest, DropPoisonsEncodedBlobUnderGuards) {
   EXPECT_GT(guards::poison_fill_count(), fills_before);
 }
 
-// --- QuantizedSlotStore: CompressedSlotStore with a lossy codec ----------
+// --- QuantizedSlotStore: TieredSlotStore with a lossy codec ----------
 
 TEST(QuantizedSlotStore, HalfRoundTripAccuracy) {
   std::mt19937 rng(11);
-  CompressedSlotStore store(2, SlotCodec::Fp16);
+  TieredSlotStore store(2, SlotCodec::Fp16);
   Tensor t = Tensor::randn(Shape{128}, rng);
   store.put(0, t);
   EXPECT_EQ(store.resident_bytes(), 256U);  // 2 bytes/element, no header
@@ -685,7 +685,7 @@ TEST(QuantizedSlotStore, HalfRoundTripAccuracy) {
 
 TEST(QuantizedSlotStore, Int8RoundTripAccuracy) {
   std::mt19937 rng(13);
-  CompressedSlotStore store(2, SlotCodec::Int8);
+  TieredSlotStore store(2, SlotCodec::Int8);
   Tensor t = Tensor::uniform(Shape{256}, rng, -2.0F, 2.0F);
   store.put(0, t);
   EXPECT_EQ(store.resident_bytes(), 256U + 5U);  // 1 byte/element + header
@@ -698,7 +698,7 @@ TEST(QuantizedSlotStore, TrackerSeesEncodedBytes) {
   auto& tracker = MemoryTracker::instance();
   const std::size_t before = tracker.current_bytes();
   {
-    CompressedSlotStore store(1, SlotCodec::Int8);
+    TieredSlotStore store(1, SlotCodec::Int8);
     Tensor t = Tensor::zeros(Shape{1024});
     store.put(0, t);
     t.reset();
@@ -710,7 +710,7 @@ TEST(QuantizedSlotStore, TrackerSeesEncodedBytes) {
 TEST(QuantizedSlotStore, DropFreesTrackedBytes) {
   auto& tracker = MemoryTracker::instance();
   const std::size_t before = tracker.current_bytes();
-  CompressedSlotStore store(2, SlotCodec::Int8);
+  TieredSlotStore store(2, SlotCodec::Int8);
   {
     Tensor t = Tensor::zeros(Shape{512});
     store.put(0, t);

@@ -1,12 +1,15 @@
-#include "core/slot_store.hpp"
+#include "core/tiered_slot_store.hpp"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <random>
+#include <set>
+#include <string>
 
-#include "core/async_slot_store.hpp"
 #include "core/executor.hpp"
 #include "core/revolve.hpp"
+#include "core/slot_codec.hpp"
 #include "models/small_nets.hpp"
 #include "nn/chain_runner.hpp"
 #include "nn/layers.hpp"
@@ -21,7 +24,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(RamSlotStore, PutGetDrop) {
-  RamSlotStore store(3);
+  TieredSlotStore store(3);
   Tensor t = Tensor::full(Shape{4}, 2.0F);
   store.put(1, t);
   EXPECT_EQ(Tensor::max_abs_diff(store.get(1), t), 0.0F);
@@ -32,12 +35,73 @@ TEST(RamSlotStore, PutGetDrop) {
 }
 
 TEST(RamSlotStore, SharesStorageWithoutCopy) {
-  RamSlotStore store(1);
+  TieredSlotStore store(1);
   Tensor t = Tensor::zeros(Shape{8});
   store.put(0, t);
   Tensor out = store.get(0);
   out.at(0) = 5.0F;
   EXPECT_EQ(t.at(0), 5.0F);
+}
+
+/// Threads of this process, as the kernel lists them.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// Spill-file-named entries ("slot_*") of @p dir. Other tests running in
+/// parallel may create unrelated files in the same places.
+std::set<std::string> spill_files(const std::filesystem::path& dir) {
+  std::set<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("slot_", 0) == 0) names.insert(name);
+  }
+  return names;
+}
+
+// The executor builds a RAM-only store for every run without a caller
+// store, so a RAM-only store must stay that cheap: no IO thread, and no
+// spill file from put/get/drop or its destructor. A RAM-only store has no
+// spill directory, so a stray spill path would resolve against "/" or,
+// relatively, against the working directory; neither may gain one.
+TEST(TieredSlotStore, RamOnlyStoreStartsNoThreadAndCreatesNoFile) {
+  std::mt19937 rng(5);
+  const Tensor t = Tensor::randn(Shape{4096}, rng);
+  // Warm the compute pool the codec kernels use, so its threads are
+  // already counted.
+  (void)codec::encode(SlotCodec::Lossless, t);
+  const std::set<std::string> cwd_before =
+      spill_files(std::filesystem::current_path());
+  const std::set<std::string> root_before = spill_files("/");
+  const std::size_t threads_before = thread_count();
+  {
+    TieredSlotStore handles(3);
+    TieredSlotStore blobs(3, SlotCodec::Lossless);
+    EXPECT_EQ(thread_count(), threads_before);
+    for (TieredSlotStore* store : {&handles, &blobs}) {
+      Schedule tape(1, 3);
+      tape.restore(0, 1);
+      store->begin_replay(tape);
+      store->put(1, t);
+      store->on_replay_position(0);
+      EXPECT_EQ(Tensor::max_abs_diff(store->get(1), t), 0.0F);
+      store->end_replay();
+      store->put(2, t);
+      store->drop(1);
+      store->flush();
+    }
+    EXPECT_EQ(handles.external_bytes(), 0U);
+    EXPECT_EQ(blobs.external_bytes(), 0U);
+    EXPECT_EQ(thread_count(), threads_before);
+  }
+  EXPECT_EQ(thread_count(), threads_before);
+  EXPECT_EQ(spill_files(std::filesystem::current_path()), cwd_before);
+  EXPECT_EQ(spill_files("/"), root_before);
 }
 
 // ---------------------------------------------------------------------------
@@ -75,12 +139,12 @@ TEST(ExecutorWithStores, DiskSpillGradsBitIdentical) {
   Tensor x = Tensor::randn(Shape{1, 4, 8, 8}, rng);
   const Schedule schedule = revolve::make_schedule(8, 3);
 
-  RamSlotStore ram(schedule.num_slots());
+  TieredSlotStore ram(schedule.num_slots());
   const StoreRun reference = run_with_store(chain, schedule, x, ram);
 
   // Spill every non-input slot to disk: lossless, so grads stay identical.
-  AsyncDiskSlotStore disk(schedule.num_slots(), 1,
-                          test::test_dir("slot_store_disk_spill"));
+  TieredSlotStore disk(schedule.num_slots(), 1,
+                       test::test_dir("slot_store_disk_spill"));
   const StoreRun spilled = run_with_store(chain, schedule, x, disk);
   EXPECT_GT(disk.disk_writes(), 0);
 
@@ -120,17 +184,17 @@ TEST(ExecutorWithStores, QuantizedCheckpointsGiveApproximateGrads) {
     return scale;
   };
 
-  RamSlotStore ram(schedule.num_slots());
+  TieredSlotStore ram(schedule.num_slots());
   const StoreRun reference = run_with_store(chain, schedule, x, ram);
   const float scale = max_param_scale(reference);
 
-  CompressedSlotStore half(schedule.num_slots(), SlotCodec::Fp16);
+  TieredSlotStore half(schedule.num_slots(), SlotCodec::Fp16);
   const StoreRun halved = run_with_store(chain, schedule, x, half);
   const float half_err = max_param_err(reference, halved);
   EXPECT_GT(half_err, 0.0F);          // lossy checkpoints are visible...
   EXPECT_LT(half_err, 0.01F * scale); // ...but small at fp16
 
-  CompressedSlotStore int8(schedule.num_slots(), SlotCodec::Int8);
+  TieredSlotStore int8(schedule.num_slots(), SlotCodec::Int8);
   const StoreRun quantised = run_with_store(chain, schedule, x, int8);
   const float int8_err = max_param_err(reference, quantised);
   EXPECT_GT(int8_err, half_err);       // int8 is coarser than fp16
@@ -143,9 +207,9 @@ TEST(ExecutorWithStores, QuantizedStoreHalvesCheckpointMemory) {
   Tensor x = Tensor::randn(Shape{1, 8, 12, 12}, rng);
   const Schedule schedule = revolve::make_schedule(12, 5);
 
-  RamSlotStore ram(schedule.num_slots());
+  TieredSlotStore ram(schedule.num_slots());
   (void)run_with_store(chain, schedule, x, ram);
-  CompressedSlotStore half(schedule.num_slots(), SlotCodec::Fp16);
+  TieredSlotStore half(schedule.num_slots(), SlotCodec::Fp16);
 
   // Peak store occupancy: hold all slots with one activation each.
   Tensor act = Tensor::randn(Shape{1, 8, 12, 12}, rng);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 #include "models/small_nets.hpp"
 #include "tensor/ops.hpp"
@@ -47,9 +48,31 @@ double eval_accuracy(LayerChain& chain, std::mt19937& rng) {
   return static_cast<double>(correct) / static_cast<double>(preds.size());
 }
 
+/// Checkpoint placements the cases below exercise. The values are part of
+/// the parameterised test names (gtest prints StrategyCase's bytes), so
+/// they stay fixed.
+enum class StoreKind : std::uint8_t { Ram, DiskSpill, Fp16, Int8 };
+
+void set_store_kind(TrainerOptions& options, StoreKind kind,
+                    const std::string& spill_directory) {
+  switch (kind) {
+    case StoreKind::Ram:
+      break;
+    case StoreKind::DiskSpill:
+      options.spill_directory = spill_directory;
+      break;
+    case StoreKind::Fp16:
+      options.slot_codec = core::SlotCodec::Fp16;
+      break;
+    case StoreKind::Int8:
+      options.slot_codec = core::SlotCodec::Int8;
+      break;
+  }
+}
+
 struct StrategyCase {
   CheckpointStrategy strategy;
-  SlotBackend backend;
+  StoreKind backend;
 };
 
 class TrainerStrategyTest : public ::testing::TestWithParam<StrategyCase> {};
@@ -60,8 +83,7 @@ TEST_P(TrainerStrategyTest, LearnsQuadrantTask) {
   LayerChain chain = models::build_patch_cnn(12, 1, 4, 4, rng);
   TrainerOptions options;
   options.strategy = strategy;
-  options.backend = backend;
-  options.spill_directory = test::test_dir("trainer_learns_quadrant");
+  set_store_kind(options, backend, test::test_dir("trainer_learns_quadrant"));
   options.free_slots = 2;
   options.lr = 0.08F;
   Trainer trainer(chain, options);
@@ -79,22 +101,22 @@ TEST_P(TrainerStrategyTest, LearnsQuadrantTask) {
 INSTANTIATE_TEST_SUITE_P(
     StrategiesAndBackends, TrainerStrategyTest,
     ::testing::Values(
-        StrategyCase{CheckpointStrategy::FullStorage, SlotBackend::Ram},
-        StrategyCase{CheckpointStrategy::Revolve, SlotBackend::Ram},
-        StrategyCase{CheckpointStrategy::Sequential, SlotBackend::Ram},
-        StrategyCase{CheckpointStrategy::Periodic, SlotBackend::Ram},
-        StrategyCase{CheckpointStrategy::Revolve, SlotBackend::DiskSpill},
-        StrategyCase{CheckpointStrategy::Revolve, SlotBackend::Fp16},
-        StrategyCase{CheckpointStrategy::Revolve, SlotBackend::Int8}));
+        StrategyCase{CheckpointStrategy::FullStorage, StoreKind::Ram},
+        StrategyCase{CheckpointStrategy::Revolve, StoreKind::Ram},
+        StrategyCase{CheckpointStrategy::Sequential, StoreKind::Ram},
+        StrategyCase{CheckpointStrategy::Periodic, StoreKind::Ram},
+        StrategyCase{CheckpointStrategy::Revolve, StoreKind::DiskSpill},
+        StrategyCase{CheckpointStrategy::Revolve, StoreKind::Fp16},
+        StrategyCase{CheckpointStrategy::Revolve, StoreKind::Int8}));
 
 TEST(Trainer, RevolveIdenticalToFullStorageTrajectory) {
-  auto run = [](CheckpointStrategy strategy, SlotBackend backend) {
+  auto run = [](CheckpointStrategy strategy, StoreKind backend) {
     std::mt19937 rng(611);
     LayerChain chain = models::build_patch_cnn(12, 1, 4, 4, rng);
     TrainerOptions options;
     options.strategy = strategy;
-    options.backend = backend;
-    options.spill_directory = test::test_dir("trainer_revolve_trajectory");
+    set_store_kind(options, backend,
+                   test::test_dir("trainer_revolve_trajectory"));
     options.free_slots = 1;
     Trainer trainer(chain, options);
     std::mt19937 data_rng(613);
@@ -106,11 +128,11 @@ TEST(Trainer, RevolveIdenticalToFullStorageTrajectory) {
     for (const ParamRef& p : chain.params()) weights.push_back(p.value->clone());
     return weights;
   };
-  const auto full = run(CheckpointStrategy::FullStorage, SlotBackend::Ram);
-  const auto revolve = run(CheckpointStrategy::Revolve, SlotBackend::Ram);
+  const auto full = run(CheckpointStrategy::FullStorage, StoreKind::Ram);
+  const auto revolve = run(CheckpointStrategy::Revolve, StoreKind::Ram);
   // Spilled checkpoints are lossless: the weights match bit for bit.
   const auto spilled =
-      run(CheckpointStrategy::Revolve, SlotBackend::DiskSpill);
+      run(CheckpointStrategy::Revolve, StoreKind::DiskSpill);
   for (std::size_t i = 0; i < full.size(); ++i) {
     EXPECT_EQ(Tensor::max_abs_diff(full[i], revolve[i]), 0.0F) << i;
     EXPECT_EQ(Tensor::max_abs_diff(revolve[i], spilled[i]), 0.0F) << i;

@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/slot_store.hpp"
+#include "core/tiered_slot_store.hpp"
 #include "tensor/guards.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
@@ -118,7 +118,7 @@ TEST_F(GuardsTest, NestedScopesVerifyEverySpan) {
 // back would itself be a use-after-free.
 
 TEST_F(GuardsTest, SlotStorePoisonsDroppedCheckpoints) {
-  core::RamSlotStore store(2);
+  core::TieredSlotStore store(2);
   Tensor t = Tensor::full({8}, 2.0F);
   store.put(0, t);
   t.reset();  // store is now the sole owner
@@ -128,7 +128,7 @@ TEST_F(GuardsTest, SlotStorePoisonsDroppedCheckpoints) {
 }
 
 TEST_F(GuardsTest, SlotStoreOverwritePoisonsTheOldCheckpoint) {
-  core::RamSlotStore store(1);
+  core::TieredSlotStore store(1);
   Tensor old_value = Tensor::full({4}, 1.0F);
   store.put(0, old_value);
   old_value.reset();
@@ -139,7 +139,7 @@ TEST_F(GuardsTest, SlotStoreOverwritePoisonsTheOldCheckpoint) {
 }
 
 TEST_F(GuardsTest, SlotStoreNeverPoisonsSharedHandles) {
-  core::RamSlotStore store(1);
+  core::TieredSlotStore store(1);
   Tensor t = Tensor::full({4}, 5.0F);
   store.put(0, t);  // t still owns a handle: live activation
   const std::int64_t before = guards::poison_fill_count();
