@@ -155,10 +155,10 @@ void run_hetero(const Panel& panel) {
                static_cast<int>(max_boundary / min_boundary));
     double byte_rho = hetero_rho;
     if (static_cast<std::size_t>(l + 1) * (l + 1) * (unit_budget + 1) <
-        (96ULL << 20)) {
-      const core::hetero::ByteBudgetSolver byte_solver(costs, state_units,
-                                                       unit_budget);
-      byte_rho = byte_solver.recompute_factor();
+        core::hetero::HeteroSolver::kMaxStates) {
+      const core::hetero::HeteroSolver byte_solver(costs, state_units,
+                                                   unit_budget);
+      byte_rho = byte_solver.recompute_factor(unit_budget);
     }
     std::printf("%-10s %-10d %-14.3f %-14.3f %-14.3f %-12.1f\n",
                 spec.name().c_str(), l, plan.achieved_rho, hetero_rho,

@@ -141,12 +141,24 @@ std::vector<double> hetero_costs(int l, int profile) {
   return costs;
 }
 
+/// Two boundary-size patterns for the byte-budget form: a 1/2/3 cycle, and
+/// a 4/2/1 shrink across thirds of the chain (the ResNet stage pattern the
+/// byte budget exists for).
+std::vector<int> hetero_units(int l, int pattern) {
+  std::vector<int> units;
+  units.reserve(static_cast<std::size_t>(std::max(l - 1, 0)));
+  for (int i = 1; i < l; ++i) {
+    units.push_back(pattern == 0 ? 1 + i % 3 : 4 >> ((3 * i) / l));
+  }
+  return units;
+}
+
 std::int64_t sweep_hetero(const SweepConfig& config,
                           const CaseVisitor& visit) {
   std::int64_t count = 0;
   for (int l = 1; l <= config.hetero_max_l; ++l) {
     for (int profile = 0; profile < 3; ++profile) {
-      std::vector<double> costs = hetero_costs(l, profile);
+      const std::vector<double> costs = hetero_costs(l, profile);
       const int max_s = std::min(config.hetero_max_s, std::max(l - 1, 0));
       const core::hetero::HeteroSolver solver(costs, max_s);
       for (int s = 0; s <= max_s; ++s) {
@@ -164,6 +176,29 @@ std::int64_t sweep_hetero(const SweepConfig& config,
         c.schedule = solver.make_schedule(s);
         visit(c);
         ++count;
+      }
+      // Byte form: one solver per unit pattern, queried per budget. Live
+      // stored states share min(b, l-1) slots; the byte budget itself is
+      // asserted by the solver's tests.
+      const int max_budget = 2 * config.hetero_max_s;
+      for (int pattern = 0; pattern < 2; ++pattern) {
+        const core::hetero::HeteroSolver bytes(costs, hetero_units(l, pattern),
+                                               max_budget);
+        for (int b = 0; b <= max_budget; ++b) {
+          SweepCase c;
+          c.family = "hetero-bytes";
+          c.name = case_name("hetero-bytes",
+                             {{"l", static_cast<double>(l)},
+                              {"profile", static_cast<double>(profile)},
+                              {"units", static_cast<double>(pattern)},
+                              {"b", static_cast<double>(b)}});
+          c.cost.step_costs = costs;
+          c.bounds.max_ram_slots = std::min(b, l - 1) + 1;
+          c.bounds.max_total_cost = bytes.forward_cost(b) + bytes.sweep_cost();
+          c.schedule = bytes.make_schedule(b);
+          visit(c);
+          ++count;
+        }
       }
     }
   }

@@ -3,12 +3,13 @@
 // Generates schedules from every scheduler family in the library --
 // binomial Revolve (dense small-l grids, large-l slot grids, and
 // rho-target-driven slot selection), PyTorch-style uniform segmentation,
-// the heterogeneous per-step-cost DP, and two-level RAM+disk Revolve --
-// paired with the analytic bounds each scheduler promises (peak activation
-// units, RAM slot occupancy, total work under the paper's cost
-// convention). Each case is handed to a visitor that typically runs
-// analysis::interpret and records the verdict; tools/schedule_lint is that
-// visitor wired to a JSON report and a process exit code.
+// the heterogeneous per-step-cost DP (uniform slots and byte budgets),
+// and two-level RAM+disk Revolve -- paired with the analytic bounds each
+// scheduler promises (peak activation units, RAM slot occupancy, total
+// work under the paper's cost convention). Each case is handed to a
+// visitor that typically runs analysis::interpret and records the verdict;
+// tools/schedule_lint is that visitor wired to a JSON report and a process
+// exit code.
 //
 // The module also provides the fault injector used to prove the gate has
 // teeth: corrupt() applies a targeted mutation that is guaranteed to
@@ -29,8 +30,8 @@ namespace edgetrain::analysis {
 
 /// One schedule plus the bounds its scheduler promised.
 struct SweepCase {
-  /// "revolve" | "sequential" | "hetero" | "disk" | "disk-overlap" |
-  /// "replan-revolve" | "replan-disk" | "replan-disk-overlap"
+  /// "revolve" | "sequential" | "hetero" | "hetero-bytes" | "disk" |
+  /// "disk-overlap" | "replan-revolve" | "replan-disk" | "replan-disk-overlap"
   std::string family;
   std::string name;    ///< human-readable parameter string
   core::Schedule schedule;
@@ -57,7 +58,9 @@ struct SweepConfig {
   std::vector<int> seq_large_l = {512, 2048};
   int seq_segment_cap = 24;
 
-  // Heterogeneous DP: l x s grid, three per-step cost profiles each.
+  // Heterogeneous DP: l x s grid, three per-step cost profiles each, plus
+  // byte-budget cases over two state-size patterns and budgets
+  // 0..2 * hetero_max_s units.
   int hetero_max_l = 18;
   int hetero_max_s = 5;
 

@@ -16,7 +16,7 @@
 //     one),
 //
 // and the feeder helpers translate a ChainCosts into every planner's
-// native inputs: HeteroSolver/ByteBudgetSolver cost-and-unit vectors,
+// native inputs: HeteroSolver cost-and-unit vectors,
 // DiskRevolveOptions whose IO weights come from the measured SD bandwidth,
 // a measured ChainSpec for MemoryPlanner, and an analysis::CostModel whose
 // lint bounds are stated in calibrated microseconds.
@@ -43,7 +43,8 @@ struct ChainCosts {
   std::vector<double> backward_us;  ///< size l
   /// Bytes of boundary state j (the output of step j-1), j = 1..l-1 --
   /// the states a checkpoint slot may hold (size l-1). The chain input
-  /// and output are never checkpointed (ByteBudgetSolver's convention).
+  /// and output are never checkpointed (the byte-budget HeteroSolver's
+  /// convention).
   std::vector<double> boundary_bytes;
   double input_bytes = 0.0;
   double output_bytes = 0.0;
@@ -100,8 +101,8 @@ struct MeasureOptions {
 
 // --- planner feeders -------------------------------------------------------
 
-/// Boundary sizes as integer budget units for ByteBudgetSolver: one unit =
-/// the smallest boundary's bytes, each state rounded up.
+/// Boundary sizes as integer budget units for the byte-budget HeteroSolver:
+/// one unit = the smallest boundary's bytes, each state rounded up.
 [[nodiscard]] std::vector<int> state_units(const ChainCosts& costs);
 
 /// The checkpoint budget @p budget_bytes expressed in the same units.

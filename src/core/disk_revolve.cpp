@@ -152,92 +152,19 @@ double DiskRevolveSolver::recompute_factor() const {
 }
 
 Schedule DiskRevolveSolver::make_schedule() const {
-  // Slot ids: 0..ram_slots are RAM (0 = input); disk ids grow from
-  // ram_slots+1 with LIFO reuse.
-  const int disk_slot_budget = num_steps_;  // safe upper bound
-  Schedule sched(num_steps_,
-                 options_.ram_slots + 1 + disk_slot_budget);
-  std::vector<std::int32_t> free_ram;
-  for (int slot = options_.ram_slots; slot >= 1; --slot) {
-    free_ram.push_back(static_cast<std::int32_t>(slot));
-  }
-  std::vector<std::int32_t> free_disk;
-  for (int slot = options_.ram_slots + disk_slot_budget;
-       slot > options_.ram_slots; --slot) {
-    free_disk.push_back(static_cast<std::int32_t>(slot));
-  }
-
-  auto reverse_one = [&](std::int32_t step) {
-    sched.forward_save(step);
-    sched.backward(step);
-  };
-
-  // Pre for both emitters: current state == a; state a stored in input_slot.
-  auto reverse_impl = [&](auto&& self, int a, int b, int c, Level level,
-                          std::int32_t input_slot) -> void {
-    if (b - a == 1) {
-      reverse_one(static_cast<std::int32_t>(a));
-      return;
-    }
-    const Choice choice =
-        rev_choice_[idx(b - a, c, level)];
-    if (choice.split == 0) {
-      for (int i = b - 1; i >= a; --i) {
-        if (i != b - 1) sched.restore(static_cast<std::int32_t>(a), input_slot);
-        for (int k = a; k < i; ++k) sched.forward(static_cast<std::int32_t>(k));
-        reverse_one(static_cast<std::int32_t>(i));
-      }
-      return;
-    }
-    const int j = a + choice.split;
-    for (int i = a; i < j; ++i) sched.forward(static_cast<std::int32_t>(i));
-    auto& pool = choice.store_level == Level::Ram ? free_ram : free_disk;
-    const std::int32_t slot = pool.back();
-    pool.pop_back();
-    sched.store(static_cast<std::int32_t>(j), slot);
-    const int c_inner = choice.store_level == Level::Ram ? c - 1 : c;
-    self(self, j, b, c_inner, choice.store_level, slot);
-    sched.free(slot);
-    pool.push_back(slot);
-    sched.restore(static_cast<std::int32_t>(a), input_slot);
-    self(self, a, j, c, level, input_slot);
-  };
-
-  auto sweep_impl = [&](auto&& self, int a, int b, int c, Level level,
-                        std::int32_t input_slot) -> void {
-    if (b - a == 1) {
-      reverse_one(static_cast<std::int32_t>(a));
-      return;
-    }
-    const Choice choice = fwd_choice_[idx(b - a, c, level)];
-    if (choice.split == 0) {
-      for (int i = a; i < b - 1; ++i) sched.forward(static_cast<std::int32_t>(i));
-      reverse_one(static_cast<std::int32_t>(b - 1));
-      for (int i = b - 2; i >= a; --i) {
-        sched.restore(static_cast<std::int32_t>(a), input_slot);
-        for (int k = a; k < i; ++k) sched.forward(static_cast<std::int32_t>(k));
-        reverse_one(static_cast<std::int32_t>(i));
-      }
-      return;
-    }
-    const int j = a + choice.split;
-    for (int i = a; i < j; ++i) sched.forward(static_cast<std::int32_t>(i));
-    auto& pool = choice.store_level == Level::Ram ? free_ram : free_disk;
-    const std::int32_t slot = pool.back();
-    pool.pop_back();
-    sched.store(static_cast<std::int32_t>(j), slot);
-    const int c_inner = choice.store_level == Level::Ram ? c - 1 : c;
-    self(self, j, b, c_inner, choice.store_level, slot);
-    sched.free(slot);
-    pool.push_back(slot);
-    sched.restore(static_cast<std::int32_t>(a), input_slot);
-    reverse_impl(reverse_impl, a, j, c, level, input_slot);
-  };
-
-  sched.store(0, 0);
-  sweep_impl(sweep_impl, 0, num_steps_, options_.ram_slots, Level::Ram, 0);
-  sched.free(0);
-  return sched;
+  // Pool 0 is RAM (slot ids 1..ram_slots), pool 1 is disk (ids from
+  // ram_slots+1, at most one per state); Level doubles as the pool index.
+  return emit_split_schedule(
+      num_steps_, {options_.ram_slots, num_steps_}, options_.ram_slots,
+      [this](bool sweep, int a, int b, int c, int level) {
+        const Choice choice = (sweep ? fwd_choice_ : rev_choice_)[idx(
+            b - a, c, static_cast<Level>(level))];
+        if (choice.split == 0) return SplitChoice{};
+        const bool ram = choice.store_level == Level::Ram;
+        return SplitChoice{a + choice.split,
+                           static_cast<int>(choice.store_level),
+                           ram ? c - 1 : c};
+      });
 }
 
 int DiskRevolveSolver::peak_disk_slots() const {

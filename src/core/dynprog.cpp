@@ -3,235 +3,47 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace edgetrain::core::hetero {
 
-HeteroSolver::HeteroSolver(std::vector<double> forward_costs,
+namespace {
+
+int num_states(const std::vector<double>& forward_costs) {
+  return std::max(static_cast<int>(forward_costs.size()) - 1, 0);
+}
+
+}  // namespace
+
+HeteroSolver::HeteroSolver(const std::vector<double>& forward_costs,
                            int max_free_slots)
-    : costs_(std::move(forward_costs)) {
+    : HeteroSolver(forward_costs,
+                   std::vector<int>(
+                       static_cast<std::size_t>(num_states(forward_costs)), 1),
+                   std::clamp(max_free_slots, 0, num_states(forward_costs))) {}
+
+HeteroSolver::HeteroSolver(std::vector<double> forward_costs,
+                           std::vector<int> state_units, int budget_units)
+    : costs_(std::move(forward_costs)),
+      units_(std::move(state_units)),
+      budget_(budget_units) {
   const int l = static_cast<int>(costs_.size());
   if (l < 1) throw std::invalid_argument("HeteroSolver: empty chain");
+  if (static_cast<int>(units_.size()) != l - 1) {
+    throw std::invalid_argument(
+        "HeteroSolver: state_units must cover states 1..l-1");
+  }
   for (const double c : costs_) {
     if (!(c > 0.0)) {
       throw std::invalid_argument("HeteroSolver: step costs must be > 0");
     }
   }
-  max_slots_ = std::clamp(max_free_slots, 0, std::max(l - 1, 0));
-
-  prefix_.assign(static_cast<std::size_t>(l) + 1, 0.0);
-  for (int i = 0; i < l; ++i) {
-    prefix_[static_cast<std::size_t>(i) + 1] =
-        prefix_[static_cast<std::size_t>(i)] + costs_[static_cast<std::size_t>(i)];
-  }
-  total_ = prefix_.back();
-
-  const std::size_t size = static_cast<std::size_t>(l + 1) *
-                           static_cast<std::size_t>(l + 1) *
-                           static_cast<std::size_t>(max_slots_ + 1);
-  constexpr std::size_t kMaxStates = 64ULL << 20;  // ~64M doubles guard
-  if (size > kMaxStates) {
-    throw std::invalid_argument(
-        "HeteroSolver: chain too long for the cubic DP; use block-level "
-        "steps or the homogeneous RevolveTable");
-  }
-  rev_.assign(size, 0.0);
-  fwd_.assign(size, 0.0);
-  exec_.assign(size, 0.0);
-  rev_split_.assign(size, 0);
-  fwd_split_.assign(size, 0);
-  exec_split_.assign(size, 0);
-
-  // Bases: length-1 segments and slot-less segments. E's bases are
-  // save-free (the re-materialisation forward is absorbed into Backward).
-  for (int a = 0; a < l; ++a) {
-    for (int s = 0; s <= max_slots_; ++s) {
-      rev_[idx(a, a + 1, s)] = 0.0;
-      fwd_[idx(a, a + 1, s)] = costs_[static_cast<std::size_t>(a)];
-      exec_[idx(a, a + 1, s)] = 0.0;
-    }
-  }
-  for (int a = 0; a < l; ++a) {
-    for (int b = a + 2; b <= l; ++b) {
-      double r0 = 0.0;
-      for (int k = a + 1; k < b; ++k) r0 += span(a, k);
-      rev_[idx(a, b, 0)] = r0;
-      fwd_[idx(a, b, 0)] = span(a, b) + r0;
-      exec_[idx(a, b, 0)] = r0;
-    }
-  }
-
-  // Fill by increasing slot count, then segment length.
-  for (int s = 1; s <= max_slots_; ++s) {
-    for (int len = 2; len <= l; ++len) {
-      for (int a = 0; a + len <= l; ++a) {
-        const int b = a + len;
-        double best_r = std::numeric_limits<double>::infinity();
-        double best_f = best_r;
-        double best_e = best_r;
-        int split_r = a + 1;
-        int split_f = a + 1;
-        int split_e = a + 1;
-        for (int j = a + 1; j < b; ++j) {
-          const double advance = span(a, j);
-          const double r = advance + rev_[idx(j, b, s - 1)] +
-                           rev_[idx(a, j, s)];
-          if (r < best_r) {
-            best_r = r;
-            split_r = j;
-          }
-          const double f = advance + fwd_[idx(j, b, s - 1)] +
-                           rev_[idx(a, j, s)];
-          if (f < best_f) {
-            best_f = f;
-            split_f = j;
-          }
-          const double e = advance + exec_[idx(j, b, s - 1)] +
-                           rev_[idx(a, j, s)];
-          if (e < best_e) {
-            best_e = e;
-            split_e = j;
-          }
-        }
-        rev_[idx(a, b, s)] = best_r;
-        fwd_[idx(a, b, s)] = best_f;
-        exec_[idx(a, b, s)] = best_e;
-        rev_split_[idx(a, b, s)] = split_r;
-        fwd_split_[idx(a, b, s)] = split_f;
-        exec_split_[idx(a, b, s)] = split_e;
-      }
-    }
-  }
-}
-
-double HeteroSolver::forward_cost(int free_slots) const {
-  const int l = num_steps();
-  const int s = std::clamp(free_slots, 0, std::min(max_slots_, l - 1));
-  return fwd_[idx(0, l, s)];
-}
-
-double HeteroSolver::advance_cost(int free_slots) const {
-  const int l = num_steps();
-  const int s = std::clamp(free_slots, 0, std::min(max_slots_, l - 1));
-  return exec_[idx(0, l, s)];
-}
-
-double HeteroSolver::recompute_factor(int free_slots, double bwd_ratio) const {
-  const double bwd = bwd_ratio * total_;
-  return (forward_cost(free_slots) + bwd) / (total_ + bwd);
-}
-
-int HeteroSolver::min_free_slots_for_rho(double rho_budget,
-                                         double bwd_ratio) const {
-  const int s_max = std::min(max_slots_, num_steps() - 1);
-  for (int s = 0; s <= s_max; ++s) {
-    if (recompute_factor(s, bwd_ratio) <= rho_budget + 1e-12) return s;
-  }
-  return s_max;
-}
-
-Schedule HeteroSolver::make_schedule(int free_slots) const {
-  const int l = num_steps();
-  const int s_top = std::clamp(free_slots, 0, std::min(max_slots_, l - 1));
-  Schedule sched(l, s_top + 1);
-  std::vector<std::int32_t> free_list;
-  for (int slot = s_top; slot >= 1; --slot) {
-    free_list.push_back(static_cast<std::int32_t>(slot));
-  }
-
-  auto reverse_one = [&](std::int32_t step) {
-    sched.forward_save(step);
-    sched.backward(step);
-  };
-
-  // Recursive emitters mirroring the DP; `sweep` handles the F problem and
-  // `reverse` the R problem. Pre: current state == a, state a in input_slot.
-  auto reverse_impl = [&](auto&& self, int a, int b, int s,
-                          std::int32_t input_slot) -> void {
-    if (b - a == 1) {
-      reverse_one(static_cast<std::int32_t>(a));
-      return;
-    }
-    if (s == 0) {
-      for (int i = b - 1; i >= a; --i) {
-        if (i != b - 1) sched.restore(static_cast<std::int32_t>(a), input_slot);
-        for (int k = a; k < i; ++k) sched.forward(static_cast<std::int32_t>(k));
-        reverse_one(static_cast<std::int32_t>(i));
-      }
-      return;
-    }
-    const int j = rev_split_[idx(a, b, s)];
-    for (int i = a; i < j; ++i) sched.forward(static_cast<std::int32_t>(i));
-    const std::int32_t slot = free_list.back();
-    free_list.pop_back();
-    sched.store(static_cast<std::int32_t>(j), slot);
-    self(self, j, b, s - 1, slot);
-    sched.free(slot);
-    free_list.push_back(slot);
-    sched.restore(static_cast<std::int32_t>(a), input_slot);
-    self(self, a, j, s, input_slot);
-  };
-
-  auto sweep_impl = [&](auto&& self, int a, int b, int s,
-                        std::int32_t input_slot) -> void {
-    if (b - a == 1) {
-      reverse_one(static_cast<std::int32_t>(a));
-      return;
-    }
-    if (s == 0) {
-      for (int i = a; i < b - 1; ++i) sched.forward(static_cast<std::int32_t>(i));
-      reverse_one(static_cast<std::int32_t>(b - 1));
-      for (int i = b - 2; i >= a; --i) {
-        sched.restore(static_cast<std::int32_t>(a), input_slot);
-        for (int k = a; k < i; ++k) sched.forward(static_cast<std::int32_t>(k));
-        reverse_one(static_cast<std::int32_t>(i));
-      }
-      return;
-    }
-    const int j = exec_split_[idx(a, b, s)];
-    for (int i = a; i < j; ++i) sched.forward(static_cast<std::int32_t>(i));
-    const std::int32_t slot = free_list.back();
-    free_list.pop_back();
-    sched.store(static_cast<std::int32_t>(j), slot);
-    self(self, j, b, s - 1, slot);
-    sched.free(slot);
-    free_list.push_back(slot);
-    sched.restore(static_cast<std::int32_t>(a), input_slot);
-    reverse_impl(reverse_impl, a, j, s, input_slot);
-  };
-
-  sched.store(0, 0);
-  sweep_impl(sweep_impl, 0, l, s_top, 0);
-  sched.free(0);
-  return sched;
-}
-
-// ---------------------------------------------------------------------------
-// ByteBudgetSolver
-// ---------------------------------------------------------------------------
-
-ByteBudgetSolver::ByteBudgetSolver(std::vector<double> forward_costs,
-                                   std::vector<int> state_units,
-                                   int budget_units)
-    : costs_(std::move(forward_costs)),
-      units_(std::move(state_units)),
-      budget_(budget_units) {
-  const int l = static_cast<int>(costs_.size());
-  if (l < 1) throw std::invalid_argument("ByteBudgetSolver: empty chain");
-  if (static_cast<int>(units_.size()) != std::max(l - 1, 0)) {
-    throw std::invalid_argument(
-        "ByteBudgetSolver: state_units must cover states 1..l-1");
-  }
-  for (const double c : costs_) {
-    if (!(c > 0.0)) {
-      throw std::invalid_argument("ByteBudgetSolver: step costs must be > 0");
-    }
-  }
   for (const int u : units_) {
     if (u < 1) {
-      throw std::invalid_argument("ByteBudgetSolver: state units must be >= 1");
+      throw std::invalid_argument("HeteroSolver: state units must be >= 1");
     }
   }
-  if (budget_ < 0) throw std::invalid_argument("ByteBudgetSolver: budget < 0");
+  if (budget_ < 0) throw std::invalid_argument("HeteroSolver: budget < 0");
 
   prefix_.assign(static_cast<std::size_t>(l) + 1, 0.0);
   for (int i = 0; i < l; ++i) {
@@ -243,16 +55,15 @@ ByteBudgetSolver::ByteBudgetSolver(std::vector<double> forward_costs,
   const std::size_t size = static_cast<std::size_t>(l + 1) *
                            static_cast<std::size_t>(l + 1) *
                            static_cast<std::size_t>(budget_ + 1);
-  constexpr std::size_t kMaxStates = 96ULL << 20;
   if (size > kMaxStates) {
     throw std::invalid_argument(
-        "ByteBudgetSolver: state space too large; coarsen the budget units");
+        "HeteroSolver: state space too large; use block-level steps or "
+        "coarser budget units");
   }
   rev_.assign(size, 0.0);
   fwd_.assign(size, 0.0);
   exec_.assign(size, 0.0);
   rev_split_.assign(size, 0);
-  fwd_split_.assign(size, 0);
   exec_split_.assign(size, 0);
 
   for (int len = 1; len <= l; ++len) {
@@ -262,130 +73,90 @@ ByteBudgetSolver::ByteBudgetSolver(std::vector<double> forward_costs,
   }
 }
 
-void ByteBudgetSolver::solve_cell(int a, int b, int m) {
+void HeteroSolver::solve_cell(int a, int b, int m) {
+  const std::size_t cell = idx(a, b, m);
   if (b - a == 1) {
-    rev_[idx(a, b, m)] = 0.0;
-    fwd_[idx(a, b, m)] = costs_[static_cast<std::size_t>(a)];
-    exec_[idx(a, b, m)] = 0.0;
+    rev_[cell] = 0.0;
+    fwd_[cell] = costs_[static_cast<std::size_t>(a)];
+    exec_[cell] = 0.0;
     return;
   }
-  // Fallback: never store, re-advance from the segment input each time.
-  double fallback_r = 0.0;
-  for (int k = a + 1; k < b; ++k) fallback_r += span(a, k);
-  double best_r = fallback_r;
-  double best_f = span(a, b) + fallback_r;
-  double best_e = fallback_r;  // E's fallback is save-free: R only
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double best_r = kInf;
+  double best_f = kInf;
+  double best_e = kInf;
   std::int32_t split_r = 0;
-  std::int32_t split_f = 0;
   std::int32_t split_e = 0;
-
   for (int j = a + 1; j < b; ++j) {
-    const int u = units_[static_cast<std::size_t>(j) - 1];
+    const int u = unit(j);
     if (u > m) continue;
     const double advance = span(a, j);
-    const double r =
-        advance + rev_[idx(j, b, m - u)] + rev_[idx(a, j, m)];
+    const double left = rev_[idx(a, j, m)];
+    const double r = advance + rev_[idx(j, b, m - u)] + left;
     if (r < best_r) {
       best_r = r;
       split_r = static_cast<std::int32_t>(j);
     }
-    const double f =
-        advance + fwd_[idx(j, b, m - u)] + rev_[idx(a, j, m)];
-    if (f < best_f) {
-      best_f = f;
-      split_f = static_cast<std::int32_t>(j);
-    }
-    const double e =
-        advance + exec_[idx(j, b, m - u)] + rev_[idx(a, j, m)];
+    best_f = std::min(best_f, advance + fwd_[idx(j, b, m - u)] + left);
+    const double e = advance + exec_[idx(j, b, m - u)] + left;
     if (e < best_e) {
       best_e = e;
       split_e = static_cast<std::int32_t>(j);
     }
   }
-  rev_[idx(a, b, m)] = best_r;
-  fwd_[idx(a, b, m)] = best_f;
-  exec_[idx(a, b, m)] = best_e;
-  rev_split_[idx(a, b, m)] = split_r;
-  fwd_split_[idx(a, b, m)] = split_f;
-  exec_split_[idx(a, b, m)] = split_e;
+  if (split_r == 0) {
+    // No state in (a, b) fits m: re-advance from the segment input for
+    // every step. E's base is save-free (the re-materialisation forward is
+    // absorbed into Backward), so it equals R's.
+    double fallback = 0.0;
+    for (int k = a + 1; k < b; ++k) fallback += span(a, k);
+    best_r = fallback;
+    best_f = span(a, b) + fallback;
+    best_e = fallback;
+  }
+  rev_[cell] = best_r;
+  fwd_[cell] = best_f;
+  exec_[cell] = best_e;
+  rev_split_[cell] = split_r;
+  exec_split_[cell] = split_e;
 }
 
-double ByteBudgetSolver::forward_cost() const {
-  return fwd_[idx(0, num_steps(), budget_)];
+int HeteroSolver::clamp_budget(int budget) const {
+  return std::clamp(budget, 0, budget_);
 }
 
-double ByteBudgetSolver::advance_cost() const {
-  return exec_[idx(0, num_steps(), budget_)];
+double HeteroSolver::forward_cost(int budget) const {
+  return fwd_[idx(0, num_steps(), clamp_budget(budget))];
 }
 
-double ByteBudgetSolver::recompute_factor(double bwd_ratio) const {
+double HeteroSolver::advance_cost(int budget) const {
+  return exec_[idx(0, num_steps(), clamp_budget(budget))];
+}
+
+double HeteroSolver::recompute_factor(int budget, double bwd_ratio) const {
   const double bwd = bwd_ratio * total_;
-  return (forward_cost() + bwd) / (total_ + bwd);
+  return (forward_cost(budget) + bwd) / (total_ + bwd);
 }
 
-Schedule ByteBudgetSolver::make_schedule() const {
+int HeteroSolver::min_free_slots_for_rho(double rho_budget,
+                                         double bwd_ratio) const {
+  for (int m = 0; m <= budget_; ++m) {
+    if (recompute_factor(m, bwd_ratio) <= rho_budget + 1e-12) return m;
+  }
+  return budget_;
+}
+
+Schedule HeteroSolver::make_schedule(int budget) const {
   const int l = num_steps();
-  Schedule sched(l, l + 1);  // slot id == state id; bytes governed by budget
-
-  auto reverse_one = [&](std::int32_t step) {
-    sched.forward_save(step);
-    sched.backward(step);
-  };
-
-  auto reverse_impl = [&](auto&& self, int a, int b, int m,
-                          std::int32_t input_slot) -> void {
-    if (b - a == 1) {
-      reverse_one(static_cast<std::int32_t>(a));
-      return;
-    }
-    const std::int32_t j = rev_split_[idx(a, b, m)];
-    if (j == 0) {  // fallback
-      for (int i = b - 1; i >= a; --i) {
-        if (i != b - 1) sched.restore(static_cast<std::int32_t>(a), input_slot);
-        for (int k = a; k < i; ++k) sched.forward(static_cast<std::int32_t>(k));
-        reverse_one(static_cast<std::int32_t>(i));
-      }
-      return;
-    }
-    const int u = units_[static_cast<std::size_t>(j) - 1];
-    for (int i = a; i < j; ++i) sched.forward(static_cast<std::int32_t>(i));
-    sched.store(j, j);
-    self(self, j, b, m - u, j);
-    sched.free(j);
-    sched.restore(static_cast<std::int32_t>(a), input_slot);
-    self(self, a, j, m, input_slot);
-  };
-
-  auto sweep_impl = [&](auto&& self, int a, int b, int m,
-                        std::int32_t input_slot) -> void {
-    if (b - a == 1) {
-      reverse_one(static_cast<std::int32_t>(a));
-      return;
-    }
-    const std::int32_t j = exec_split_[idx(a, b, m)];
-    if (j == 0) {  // fallback
-      for (int i = a; i < b - 1; ++i) sched.forward(static_cast<std::int32_t>(i));
-      reverse_one(static_cast<std::int32_t>(b - 1));
-      for (int i = b - 2; i >= a; --i) {
-        sched.restore(static_cast<std::int32_t>(a), input_slot);
-        for (int k = a; k < i; ++k) sched.forward(static_cast<std::int32_t>(k));
-        reverse_one(static_cast<std::int32_t>(i));
-      }
-      return;
-    }
-    const int u = units_[static_cast<std::size_t>(j) - 1];
-    for (int i = a; i < j; ++i) sched.forward(static_cast<std::int32_t>(i));
-    sched.store(j, j);
-    self(self, j, b, m - u, j);
-    sched.free(j);
-    sched.restore(static_cast<std::int32_t>(a), input_slot);
-    reverse_impl(reverse_impl, a, j, m, input_slot);
-  };
-
-  sched.store(0, 0);
-  sweep_impl(sweep_impl, 0, l, budget_, 0);
-  sched.free(0);
-  return sched;
+  const int top = clamp_budget(budget);
+  return emit_split_schedule(
+      l, {std::min(top, l - 1)}, top,
+      [this](bool sweep, int a, int b, int m, int) {
+        const std::vector<std::int32_t>& splits =
+            sweep ? exec_split_ : rev_split_;
+        const std::int32_t j = splits[idx(a, b, m)];
+        return SplitChoice{j, 0, j == 0 ? 0 : m - unit(j)};
+      });
 }
 
 }  // namespace edgetrain::core::hetero

@@ -1,17 +1,24 @@
 // edgetrain: optimal checkpointing for heterogeneous chains.
 //
 // Real ResNets are not homogeneous: the stem, the four stages and the head
-// have different forward costs. Treating each residual block as one chain
-// step gives a short (tens of steps) heterogeneous chain; this solver
-// generalises the Revolve DP to per-step forward costs (checkpoint slots
-// remain uniform: one boundary activation each, the block-level M_A).
+// have different forward costs, and their boundary states differ ~8x in
+// size across stages (spatial halving vs channel doubling). Treating each
+// residual block as one chain step gives a short (tens of steps)
+// heterogeneous chain; this solver generalises the Revolve DP to per-step
+// forward costs f_i and per-state storage costs u_j against a checkpoint
+// budget M. Storing boundary state j consumes u_j budget units, so the
+// optimum prefers the cheap-to-store boundaries (stage transitions):
 //
-//   R(a, b, s) = min_{a<j<b} [ sum(f_a..f_{j-1}) + R(j, b, s-1) + R(a, j, s) ]
-//   F(a, b, s) = min_{a<j<b} [ sum(f_a..f_{j-1}) + F(j, b, s-1) + R(a, j, s) ]
+//   R(a, b, M) = min_{a<j<b, u_j<=M} [ span(a,j) + R(j,b,M-u_j) + R(a,j,M) ]
+//   F(a, b, M) = min_{a<j<b, u_j<=M} [ span(a,j) + F(j,b,M-u_j) + R(a,j,M) ]
 //
-// with R(a,a+1,s) = 0, F(a,a+1,s) = f_a, and the slot-less bases given by
-// repeated re-advancing from the segment input. With all f_i = 1 the costs
-// coincide with core/revolve.hpp (property-tested).
+// with span(a,j) = f_a + ... + f_{j-1}, R(a,a+1,M) = 0, F(a,a+1,M) = f_a,
+// and the chain input always available for free. When no state in (a, b)
+// fits M the segment uses the slot-less base: re-advance from the segment
+// input for every step. (Any affordable split costs no more than that base,
+// so it is never preferred to one.) With every u_j = 1 the budget is a
+// count of uniform slots, the block-level M_A, and with all f_i = 1 the
+// costs coincide with core/revolve.hpp (property-tested).
 //
 // F's bookkeeping follows the paper (and core/revolve.hpp): the length-1
 // base charges f_a for the saving forward that feeds the step's backward.
@@ -20,20 +27,21 @@
 // step pays it exactly once under any schedule, so it is a constant -- and
 // charges only the re-advances. Minimising F is NOT the same as
 // minimising re-advances (F carries the saving forwards of only the
-// innermost base segment, a split-dependent term), so the solvers keep a
+// innermost base segment, a split-dependent term), so the solver keeps a
 // third table E with save-free bases
 //
-//   E(a, a+1, s) = 0,   E(a, b, 0) = R(a, b, 0)
-//   E(a, b, s) = min_{a<j<b} [ sum(f_a..f_{j-1}) + E(j, b, s-1) + R(a, j, s) ]
+//   E(a, a+1, M) = 0,   slot-less base E = R
+//   E(a, b, M) = min_{a<j<b, u_j<=M} [ span(a,j) + E(j,b,M-u_j) + R(a,j,M) ]
 //
 // whose argmins drive make_schedule: the emitted schedule is optimal in
 // real (interpreter / wall-clock) cost, while forward_cost() still
 // reports the paper-convention F.
 //
-// Complexity: O(l^2 * s) states, O(l) transitions each -> O(l^3 * s).
+// Complexity: O(l^2 * M) states, O(l) transitions each -> O(l^3 * M).
 // Intended for block-level chains (l <= ~200).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -41,111 +49,58 @@
 
 namespace edgetrain::core::hetero {
 
-/// DP solver for one chain; build once, query/emit schedules per slot count.
+/// DP solver for one chain; build once, query/emit schedules per budget.
 class HeteroSolver {
  public:
+  /// Largest DP state space, (l+1)^2 * (budget+1) cells, a solver accepts.
+  static constexpr std::size_t kMaxStates = 96ULL << 20;
+
+  /// Uniform slots: every state costs one unit.
   /// @p forward_costs: per-step forward cost (arbitrary positive units).
-  /// @p max_free_slots: largest s the tables cover (clamped to l-1).
-  HeteroSolver(std::vector<double> forward_costs, int max_free_slots);
+  /// @p max_free_slots: largest budget the tables cover (clamped to l-1).
+  HeteroSolver(const std::vector<double>& forward_costs, int max_free_slots);
+
+  /// Byte budget.
+  /// @p forward_costs: per-step cost, size l.
+  /// @p state_units: storage cost of each boundary state 1..l-1 in budget
+  ///    units (size l-1; the chain input and output are never stored), e.g.
+  ///    one unit = the smallest boundary's bytes.
+  /// @p budget_units: largest budget the tables cover.
+  HeteroSolver(std::vector<double> forward_costs, std::vector<int> state_units,
+               int budget_units);
 
   [[nodiscard]] int num_steps() const noexcept {
     return static_cast<int>(costs_.size());
   }
-  [[nodiscard]] int max_free_slots() const noexcept { return max_slots_; }
 
   /// Total forward cost of one un-checkpointed sweep (sum of step costs).
   [[nodiscard]] double sweep_cost() const noexcept { return total_; }
 
-  /// F(0, l, s): forward cost of a full training pass with s free slots.
-  [[nodiscard]] double forward_cost(int free_slots) const;
+  /// F(0, l, budget): forward cost of a full training pass. Every query
+  /// clamps its budget to [0, the largest budget the tables cover].
+  [[nodiscard]] double forward_cost(int budget) const;
 
-  /// E(0, l, s): the pure re-advance cost of the optimal schedule, i.e.
-  /// what analysis::interpret charges as forward cost (re-materialisation
-  /// saves absorbed into Backward). make_schedule minimises this.
-  [[nodiscard]] double advance_cost(int free_slots) const;
+  /// E(0, l, budget): the pure re-advance cost of the optimal schedule,
+  /// i.e. what analysis::interpret charges as forward cost
+  /// (re-materialisation saves absorbed into Backward). make_schedule
+  /// minimises this.
+  [[nodiscard]] double advance_cost(int budget) const;
 
   /// Recompute factor with backward cost = bwd_ratio * forward cost of the
-  /// same step: rho = (F(s) + bwd) / (sweep + bwd).
-  [[nodiscard]] double recompute_factor(int free_slots,
+  /// same step: rho = (F(budget) + bwd) / (sweep + bwd).
+  [[nodiscard]] double recompute_factor(int budget,
                                         double bwd_ratio = 1.0) const;
 
-  /// Smallest s with recompute_factor(s) <= rho_budget (clamped to l-1).
+  /// Smallest budget with recompute_factor(budget) <= rho_budget (the
+  /// largest budget the tables cover if none qualifies).
   [[nodiscard]] int min_free_slots_for_rho(double rho_budget,
                                            double bwd_ratio = 1.0) const;
 
-  /// Executor-dialect schedule realising advance_cost(free_slots): no
-  /// schedule with the same slot budget interprets to a lower cost.
-  [[nodiscard]] Schedule make_schedule(int free_slots) const;
-
- private:
-  [[nodiscard]] std::size_t idx(int a, int b, int s) const {
-    const std::size_t l = costs_.size();
-    return (static_cast<std::size_t>(a) * (l + 1) +
-            static_cast<std::size_t>(b)) *
-               static_cast<std::size_t>(max_slots_ + 1) +
-           static_cast<std::size_t>(s);
-  }
-  [[nodiscard]] double span(int a, int b) const {
-    return prefix_[static_cast<std::size_t>(b)] -
-           prefix_[static_cast<std::size_t>(a)];
-  }
-
-  std::vector<double> costs_;
-  std::vector<double> prefix_;  // prefix_[i] = sum of costs_[0..i)
-  double total_ = 0.0;
-  int max_slots_ = 0;
-  std::vector<double> rev_;        // R(a, b, s)
-  std::vector<double> fwd_;        // F(a, b, s): paper convention
-  std::vector<double> exec_;       // E(a, b, s): interpreter convention
-  std::vector<std::int32_t> rev_split_;
-  std::vector<std::int32_t> fwd_split_;
-  std::vector<std::int32_t> exec_split_;
-};
-
-/// Byte-budget heterogeneous checkpointing.
-///
-/// HeteroSolver treats all checkpoints as equally sized ("slots"), but the
-/// boundary states of a real ResNet differ by ~8x across stages (spatial
-/// halving vs channel doubling). This solver plans against an actual byte
-/// budget: storing state j consumes state_units[j] of the budget, so the
-/// optimum prefers the cheap-to-store boundaries (stage transitions). The
-/// budget is expressed in caller-chosen units (e.g. one unit = the
-/// smallest boundary's bytes).
-///
-///   R(a, b, M) = min( re-advance fallback,
-///                     min_{a<j<b, u_j<=M} span(a,j) + R(j,b,M-u_j)
-///                                         + R(a,j,M) )
-/// with the chain input always available for free. With all u_j == 1 this
-/// reduces exactly to HeteroSolver with M slots (property-tested).
-class ByteBudgetSolver {
- public:
-  /// @p forward_costs: per-step cost, size l.
-  /// @p state_units: storage cost of each boundary state 1..l-1 in budget
-  ///    units (size l-1; the chain input and output are never stored).
-  /// @p budget_units: total checkpoint budget.
-  ByteBudgetSolver(std::vector<double> forward_costs,
-                   std::vector<int> state_units, int budget_units);
-
-  [[nodiscard]] int num_steps() const noexcept {
-    return static_cast<int>(costs_.size());
-  }
-  [[nodiscard]] int budget_units() const noexcept { return budget_; }
-  [[nodiscard]] double sweep_cost() const noexcept { return total_; }
-
-  /// F(0, l, budget): forward cost of a full training pass.
-  [[nodiscard]] double forward_cost() const;
-
-  /// E(0, l, budget): pure re-advance cost (interpreter convention; see
-  /// the HeteroSolver table notes). make_schedule minimises this.
-  [[nodiscard]] double advance_cost() const;
-
-  /// rho with backward = bwd_ratio * forward per step.
-  [[nodiscard]] double recompute_factor(double bwd_ratio = 1.0) const;
-
-  /// Executor-dialect schedule realising advance_cost(). Stored states use
-  /// slot ids equal to their state index (slot 0 = input); peak *bytes*
-  /// are governed by the unit budget, not the slot count.
-  [[nodiscard]] Schedule make_schedule() const;
+  /// Executor-dialect schedule realising advance_cost(budget): no schedule
+  /// within the same budget interprets to a lower cost. Slot 0 holds the
+  /// chain input; stored states share one LIFO pool of min(budget, l-1)
+  /// slots, and the live ones never cost more than the budget.
+  [[nodiscard]] Schedule make_schedule(int budget) const;
 
  private:
   [[nodiscard]] std::size_t idx(int a, int b, int m) const {
@@ -159,18 +114,21 @@ class ByteBudgetSolver {
     return prefix_[static_cast<std::size_t>(b)] -
            prefix_[static_cast<std::size_t>(a)];
   }
+  [[nodiscard]] int unit(int state) const {
+    return units_[static_cast<std::size_t>(state) - 1];
+  }
+  [[nodiscard]] int clamp_budget(int budget) const;
   void solve_cell(int a, int b, int m);
 
   std::vector<double> costs_;
-  std::vector<int> units_;    // index by state 1..l-1 (units_[state-1])
-  std::vector<double> prefix_;
+  std::vector<int> units_;      // units_[state - 1] for states 1..l-1
+  std::vector<double> prefix_;  // prefix_[i] = sum of costs_[0..i)
   double total_ = 0.0;
   int budget_ = 0;
-  std::vector<double> rev_;
-  std::vector<double> fwd_;
-  std::vector<double> exec_;
-  std::vector<std::int32_t> rev_split_;  // 0 = fallback
-  std::vector<std::int32_t> fwd_split_;
+  std::vector<double> rev_;   // R(a, b, m)
+  std::vector<double> fwd_;   // F(a, b, m): paper convention
+  std::vector<double> exec_;  // E(a, b, m): interpreter convention
+  std::vector<std::int32_t> rev_split_;  // 0 = slot-less base
   std::vector<std::int32_t> exec_split_;
 };
 

@@ -207,107 +207,11 @@ int max_free_slots_for_bytes(double capacity_bytes, double fixed_bytes,
   return tail <= 0.0 ? s : s + static_cast<int>(tail / fill_ratio);
 }
 
-namespace {
-
-/// Recursive emission of the executor-dialect schedule.
-class ScheduleBuilder {
- public:
-  ScheduleBuilder(const RevolveTable& table, int num_steps, int free_slots)
-      : table_(table), schedule_(num_steps, free_slots + 1) {
-    for (int slot = free_slots; slot >= 1; --slot) free_slots_.push_back(slot);
-  }
-
-  Schedule build() {
-    schedule_.store(0, 0);
-    sweep(0, schedule_.num_steps(), available(), 0);
-    schedule_.free(0);
-    return std::move(schedule_);
-  }
-
- private:
-  [[nodiscard]] int available() const {
-    return static_cast<int>(free_slots_.size());
-  }
-
-  /// ForwardSave + Backward of a single step; current state must be `step`.
-  void reverse_one(std::int32_t step) {
-    schedule_.forward_save(step);
-    schedule_.backward(step);
-  }
-
-  /// Full training pass over [a, b): loss-computing sweep then reversal.
-  /// Pre: current state == a, state a stored in input_slot, `s` free slots.
-  void sweep(std::int32_t a, std::int32_t b, int s, std::int32_t input_slot) {
-    const std::int32_t len = b - a;
-    if (len == 1) {
-      reverse_one(a);
-      return;
-    }
-    if (s == 0) {
-      // Advance to the last step, reverse it off the sweep, then re-advance
-      // from the input for every remaining step.
-      for (std::int32_t i = a; i < b - 1; ++i) schedule_.forward(i);
-      reverse_one(b - 1);
-      for (std::int32_t i = b - 2; i >= a; --i) {
-        schedule_.restore(a, input_slot);
-        for (std::int32_t k = a; k < i; ++k) schedule_.forward(k);
-        reverse_one(i);
-      }
-      return;
-    }
-    const int j = table_.best_split_sweep(len, s);
-    for (std::int32_t i = a; i < a + j; ++i) schedule_.forward(i);
-    const std::int32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    schedule_.store(a + j, slot);
-    sweep(a + j, b, s - 1, slot);
-    schedule_.free(slot);
-    free_slots_.push_back(slot);
-    schedule_.restore(a, input_slot);
-    reverse(a, a + j, s, input_slot);
-  }
-
-  /// Reversal of [a, b) when the gradient at b is already available.
-  /// Pre: current state == a, state a stored in input_slot, `s` free slots.
-  void reverse(std::int32_t a, std::int32_t b, int s, std::int32_t input_slot) {
-    const std::int32_t len = b - a;
-    if (len == 1) {
-      reverse_one(a);
-      return;
-    }
-    if (s == 0) {
-      for (std::int32_t i = b - 1; i >= a; --i) {
-        if (i != b - 1) schedule_.restore(a, input_slot);
-        for (std::int32_t k = a; k < i; ++k) schedule_.forward(k);
-        reverse_one(i);
-      }
-      return;
-    }
-    const int j = table_.best_split_reverse(len, s);
-    for (std::int32_t i = a; i < a + j; ++i) schedule_.forward(i);
-    const std::int32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    schedule_.store(a + j, slot);
-    reverse(a + j, b, s - 1, slot);
-    schedule_.free(slot);
-    free_slots_.push_back(slot);
-    schedule_.restore(a, input_slot);
-    reverse(a, a + j, s, input_slot);
-  }
-
-  const RevolveTable& table_;
-  Schedule schedule_;
-  std::vector<std::int32_t> free_slots_;
-};
-
-}  // namespace
-
 Schedule make_schedule(int num_steps, int free_slots) {
   if (num_steps < 1) throw std::invalid_argument("make_schedule: l < 1");
   free_slots = std::clamp(free_slots, 0, std::max(num_steps - 1, 0));
-  const RevolveTable table(num_steps, free_slots);
-  ScheduleBuilder builder(table, num_steps, free_slots);
-  return builder.build();
+  return make_schedule(RevolveTable(num_steps, free_slots), num_steps,
+                       free_slots);
 }
 
 Schedule make_schedule(const RevolveTable& table, int num_steps,
@@ -319,8 +223,13 @@ Schedule make_schedule(const RevolveTable& table, int num_steps,
   free_slots = std::clamp(
       free_slots, 0,
       std::min(table.max_free_slots(), std::max(num_steps - 1, 0)));
-  ScheduleBuilder builder(table, num_steps, free_slots);
-  return builder.build();
+  return emit_split_schedule(
+      num_steps, {free_slots}, free_slots,
+      [&table](bool sweep, int a, int b, int s, int) {
+        const int j = sweep ? table.best_split_sweep(b - a, s)
+                            : table.best_split_reverse(b - a, s);
+        return SplitChoice{j == 0 ? 0 : a + j, 0, s - 1};
+      });
 }
 
 }  // namespace edgetrain::core::revolve

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -141,5 +142,34 @@ class Schedule {
 };
 
 std::ostream& operator<<(std::ostream& os, const Schedule& schedule);
+
+/// One decision of a split dynamic program (Revolve, heterogeneous, two-level
+/// disk) for a segment [a, b): advance to state `split`, store it in a slot
+/// from free pool `pool`, solve [split, b) under `inner_budget`, then
+/// restore state a and reverse [a, split) under the segment's own budget.
+/// split == 0 selects the slot-less base: re-advance from the segment input
+/// for every step.
+struct SplitChoice {
+  std::int32_t split = 0;
+  int pool = 0;
+  int inner_budget = 0;
+};
+
+/// The DP's decision for segment [a, b) (b - a >= 2) under @p budget. @p sweep
+/// selects the full-pass problem (loss-computing sweep, then reversal) over
+/// the reversal-only one. @p level is the pool the segment input was stored
+/// in (0 for the chain input).
+using SplitChooser = std::function<SplitChoice(bool sweep, int a, int b,
+                                               int budget, int level)>;
+
+/// Emits the executor-dialect schedule of a split DP. Slot 0 holds the chain
+/// input; pool k owns the next pool_sizes[k] slot ids, drawn lowest first and
+/// reused LIFO, so the schedule has 1 + sum(pool_sizes) slots. Every Backward
+/// is preceded by its re-materialising ForwardSave. Throws std::logic_error
+/// when @p choose draws from an exhausted pool.
+[[nodiscard]] Schedule emit_split_schedule(std::int32_t num_steps,
+                                           const std::vector<int>& pool_sizes,
+                                           int budget,
+                                           const SplitChooser& choose);
 
 }  // namespace edgetrain::core

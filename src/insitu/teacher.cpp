@@ -6,11 +6,8 @@
 #include <optional>
 #include <stdexcept>
 
-#include "core/executor.hpp"
-#include "core/revolve.hpp"
 #include "models/small_nets.hpp"
-#include "nn/chain_runner.hpp"
-#include "nn/optim.hpp"
+#include "nn/trainer.hpp"
 #include "tensor/ops.hpp"
 
 namespace edgetrain::insitu {
@@ -119,15 +116,14 @@ TrainStats PatchClassifier::train(const PatchDataset& data,
   if (data.empty()) throw std::invalid_argument("train: empty dataset");
   TrainStats stats;
 
-  nn::SGD optimizer(chain_.params(), options.lr, options.momentum);
-  nn::LayerChainRunner runner(chain_, nn::Phase::Train);
-  core::ScheduleExecutor executor;
-
-  const int l = chain_.size();
-  core::Schedule schedule =
-      options.checkpoint_free_slots >= 0
-          ? core::revolve::make_schedule(l, options.checkpoint_free_slots)
-          : core::full_storage_schedule(l);
+  nn::TrainerOptions trainer_options;
+  trainer_options.strategy = options.checkpoint_free_slots >= 0
+                                 ? nn::CheckpointStrategy::Revolve
+                                 : nn::CheckpointStrategy::FullStorage;
+  trainer_options.free_slots = std::max(options.checkpoint_free_slots, 0);
+  trainer_options.lr = options.lr;
+  trainer_options.momentum = options.momentum;
+  nn::Trainer trainer(chain_, trainer_options);
 
   // Covers every executor pass (including checkpointed recompute) so all
   // forwards of a step agree on precision; optimizer state stays fp32.
@@ -154,8 +150,6 @@ TrainStats PatchClassifier::train(const PatchDataset& data,
       Tensor teacher_logits;
       if (distill_from != nullptr) teacher_logits = distill_from->logits(x);
 
-      optimizer.zero_grad();
-      runner.begin_pass();
       float loss_value = 0.0F;
       const core::LossGradFn loss_grad = [&](const Tensor& student_logits) {
         if (distill_from != nullptr) {
@@ -170,18 +164,12 @@ TrainStats PatchClassifier::train(const PatchDataset& data,
         loss_value = result.loss;
         return ops::softmax_xent_backward(result.probs, labels);
       };
-      const core::ExecutionResult result =
-          executor.run(runner, schedule, x, loss_grad);
-      optimizer.step();
+      const nn::StepStats step = trainer.step_with_loss(x, loss_grad);
 
       epoch_loss += loss_value;
       ++batches;
-      stats.peak_step_bytes = std::max(
-          stats.peak_step_bytes,
-          result.peak_tracked_bytes - std::min(result.peak_tracked_bytes,
-                                               result.baseline_bytes));
-      stats.total_advances += result.stats.advances;
-      stats.total_forward_saves += result.stats.forward_saves;
+      stats.peak_step_bytes = std::max(stats.peak_step_bytes, step.peak_bytes);
+      stats.total_advances += step.advances;
     }
     stats.epoch_losses.push_back(
         batches > 0 ? static_cast<float>(epoch_loss / static_cast<double>(batches))

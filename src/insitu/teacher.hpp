@@ -72,7 +72,6 @@ struct TrainStats {
   std::vector<float> epoch_losses;
   std::size_t peak_step_bytes = 0;     ///< max executor footprint over steps
   std::int64_t total_advances = 0;     ///< recomputation forwards executed
-  std::int64_t total_forward_saves = 0;
   [[nodiscard]] float final_loss() const {
     return epoch_losses.empty() ? 0.0F : epoch_losses.back();
   }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/dynprog.hpp"
@@ -23,8 +24,8 @@ class UnitReductionTest : public ::testing::TestWithParam<int> {};
 TEST_P(UnitReductionTest, ReducesToSlotSolvers) {
   const int l = GetParam();
   for (int budget = 0; budget <= std::min(l - 1, 6); ++budget) {
-    const ByteBudgetSolver byte_solver(ones(l), unit_sizes(l), budget);
-    EXPECT_DOUBLE_EQ(byte_solver.forward_cost(),
+    const HeteroSolver byte_solver(ones(l), unit_sizes(l), budget);
+    EXPECT_DOUBLE_EQ(byte_solver.forward_cost(budget),
                      static_cast<double>(revolve::forward_cost(l, budget)))
         << "l=" << l << " budget=" << budget;
   }
@@ -39,22 +40,21 @@ TEST(ByteBudgetSolver, PrefersCheapBoundaries) {
   // and beat the store-nothing fallback.
   std::vector<int> units(7, 4);
   units[3] = 1;  // state 4
-  const ByteBudgetSolver solver(ones(8), units, 1);
-  const ByteBudgetSolver nothing(ones(8), units, 0);
-  EXPECT_LT(solver.forward_cost(), nothing.forward_cost());
+  const HeteroSolver solver(ones(8), units, 1);
+  EXPECT_LT(solver.forward_cost(1), solver.forward_cost(0));
   // Storing state 4 splits 8 into 4+4:
   // F = 4 (advance) + F(4,0) + R(4,0) = 4 + (4+6) + 6 = 20.
-  EXPECT_DOUBLE_EQ(solver.forward_cost(), 20.0);
+  EXPECT_DOUBLE_EQ(solver.forward_cost(1), 20.0);
 }
 
 TEST(ByteBudgetSolver, MonotoneInBudget) {
   std::vector<int> units{3, 1, 2, 1, 3, 1, 2, 1, 3, 1, 2};
   const std::vector<double> costs = ones(12);
+  const HeteroSolver solver(costs, units, 10);
   double prev = 1e300;
   for (int budget = 0; budget <= 10; ++budget) {
-    const ByteBudgetSolver solver(costs, units, budget);
-    EXPECT_LE(solver.forward_cost(), prev) << "budget=" << budget;
-    prev = solver.forward_cost();
+    EXPECT_LE(solver.forward_cost(budget), prev) << "budget=" << budget;
+    prev = solver.forward_cost(budget);
   }
 }
 
@@ -65,16 +65,16 @@ TEST(ByteBudgetSolver, BeatsUniformSlotsAtEqualBytes) {
   // byte-aware DP can afford several small checkpoints.
   const int l = 12;
   std::vector<int> units{8, 8, 8, 4, 4, 4, 2, 2, 2, 1, 1};
-  const ByteBudgetSolver byte_solver(ones(l), units, 8);
+  const HeteroSolver byte_solver(ones(l), units, 8);
   // Worst-case-sized uniform slots: 8 units buy exactly 1 slot.
   const HeteroSolver slot_solver(ones(l), 1);
-  EXPECT_LT(byte_solver.forward_cost(), slot_solver.forward_cost(1));
+  EXPECT_LT(byte_solver.forward_cost(8), slot_solver.forward_cost(1));
 }
 
 TEST(ByteBudgetSolver, ZeroBudgetIsQuadraticFallback) {
   const int l = 9;
-  const ByteBudgetSolver solver(ones(l), unit_sizes(l), 0);
-  EXPECT_DOUBLE_EQ(solver.forward_cost(),
+  const HeteroSolver solver(ones(l), unit_sizes(l), 0);
+  EXPECT_DOUBLE_EQ(solver.forward_cost(0),
                    static_cast<double>(l) * (l + 1) / 2.0);
 }
 
@@ -89,19 +89,19 @@ TEST(ByteBudgetSolver, ZeroBudgetIsQuadraticFallback) {
 TEST(ByteBudgetSolver, GoldenTableHandComputed) {
   const std::vector<double> costs{4.0, 2.0, 1.0};
   const std::vector<int> units{1, 2};
-  EXPECT_DOUBLE_EQ(ByteBudgetSolver(costs, units, 0).forward_cost(), 17.0);
-  EXPECT_DOUBLE_EQ(ByteBudgetSolver(costs, units, 1).forward_cost(), 9.0);
-  EXPECT_DOUBLE_EQ(ByteBudgetSolver(costs, units, 2).forward_cost(), 9.0);
-  EXPECT_DOUBLE_EQ(ByteBudgetSolver(costs, units, 3).forward_cost(), 7.0);
-  EXPECT_DOUBLE_EQ(ByteBudgetSolver(costs, units, 3).recompute_factor(),
-                   1.0);
+  const HeteroSolver solver(costs, units, 3);
+  EXPECT_DOUBLE_EQ(solver.forward_cost(0), 17.0);
+  EXPECT_DOUBLE_EQ(solver.forward_cost(1), 9.0);
+  EXPECT_DOUBLE_EQ(solver.forward_cost(2), 9.0);
+  EXPECT_DOUBLE_EQ(solver.forward_cost(3), 7.0);
+  EXPECT_DOUBLE_EQ(solver.recompute_factor(3), 1.0);
 }
 
 TEST(ByteBudgetSolver, RejectsBadArguments) {
-  EXPECT_THROW(ByteBudgetSolver({}, {}, 1), std::invalid_argument);
-  EXPECT_THROW(ByteBudgetSolver(ones(3), {1}, 1), std::invalid_argument);
-  EXPECT_THROW(ByteBudgetSolver(ones(3), {1, 0}, 1), std::invalid_argument);
-  EXPECT_THROW(ByteBudgetSolver(ones(3), {1, 1}, -1), std::invalid_argument);
+  EXPECT_THROW(HeteroSolver({}, {}, 1), std::invalid_argument);
+  EXPECT_THROW(HeteroSolver(ones(3), {1}, 1), std::invalid_argument);
+  EXPECT_THROW(HeteroSolver(ones(3), {1, 0}, 1), std::invalid_argument);
+  EXPECT_THROW(HeteroSolver(ones(3), {1, 1}, -1), std::invalid_argument);
 }
 
 struct ByteCase {
@@ -115,11 +115,31 @@ TEST_P(ByteScheduleTest, SchedulesValidate) {
   const auto [l, budget] = GetParam();
   std::vector<int> units;
   for (int i = 1; i < l; ++i) units.push_back(1 + (i % 3));
-  const ByteBudgetSolver solver(ones(l), units, budget);
-  const Schedule schedule = solver.make_schedule();
+  const HeteroSolver solver(ones(l), units, budget);
+  const Schedule schedule = solver.make_schedule(budget);
   EXPECT_EQ(schedule.validate(), std::nullopt)
       << "l=" << l << " budget=" << budget;
   EXPECT_EQ(schedule.stats().backwards, l);
+  EXPECT_LE(schedule.num_slots(), std::min(budget, l - 1) + 1);
+
+  // Replay Store/Free: the live stored states (the input excepted) must fit
+  // the unit budget after every action.
+  std::vector<int> held(static_cast<std::size_t>(schedule.num_slots()), 0);
+  int live_units = 0;
+  for (std::size_t pos = 0; pos < schedule.size(); ++pos) {
+    const Action& a = schedule.actions()[pos];
+    int& state = held[static_cast<std::size_t>(a.slot < 0 ? 0 : a.slot)];
+    if (a.type == ActionType::Store && a.index > 0) {
+      state = a.index;
+      live_units += units[static_cast<std::size_t>(a.index) - 1];
+    } else if (a.type == ActionType::Free && state > 0) {
+      live_units -= units[static_cast<std::size_t>(state) - 1];
+      state = 0;
+    }
+    ASSERT_LE(live_units, budget)
+        << "l=" << l << " budget=" << budget << " action " << pos;
+  }
+  EXPECT_EQ(live_units, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, ByteScheduleTest,
@@ -134,9 +154,9 @@ TEST(ByteBudgetSolver, ScheduleAdvancesMatchAnalyticCost) {
   const int l = 16;
   std::vector<int> units;
   for (int i = 1; i < l; ++i) units.push_back(1 + (i % 2));
-  const ByteBudgetSolver solver(ones(l), units, 6);
-  const ScheduleStats stats = solver.make_schedule().stats();
-  EXPECT_LE(static_cast<double>(stats.advances), solver.forward_cost());
+  const HeteroSolver solver(ones(l), units, 6);
+  const ScheduleStats stats = solver.make_schedule(6).stats();
+  EXPECT_LE(static_cast<double>(stats.advances), solver.forward_cost(6));
 }
 
 }  // namespace

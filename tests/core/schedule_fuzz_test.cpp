@@ -12,6 +12,7 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
+#include <ostream>
 #include <random>
 #include <string>
 #include <utility>
@@ -732,6 +733,12 @@ struct StoreConfig {
   bool spill;
   SlotCodec codec;
 };
+
+// gtest would otherwise print the raw bytes, pointer included, into the
+// test name, which then differs from run to run.
+void PrintTo(const StoreConfig& config, std::ostream* os) {
+  *os << config.name;
+}
 
 class ScheduleFuzzStoreMatrixTest
     : public ::testing::TestWithParam<StoreConfig> {};

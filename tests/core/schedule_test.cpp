@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <vector>
+
 #include "core/executor.hpp"
 
 namespace edgetrain::core {
@@ -141,6 +145,55 @@ TEST(ScheduleStats, StrictRecomputeFactorCountsEverything) {
   const ScheduleStats stats = s.stats();
   // (1 advance + 2 saves + 2 backwards) / 4
   EXPECT_DOUBLE_EQ(stats.recompute_factor_strict(2), 1.25);
+}
+
+TEST(SplitEmitter, SlotLessBaseReversesFromTheInput) {
+  const Schedule s = emit_split_schedule(
+      3, {}, 0, [](bool, int, int, int, int) { return SplitChoice{}; });
+  EXPECT_EQ(s.validate(), std::nullopt);
+  EXPECT_EQ(s.num_slots(), 1);
+  const std::vector<Action> expected{
+      {ActionType::Store, 0, 0},       {ActionType::Forward, 0, -1},
+      {ActionType::Forward, 1, -1},    {ActionType::ForwardSave, 2, -1},
+      {ActionType::Backward, 2, -1},   {ActionType::Restore, 0, 0},
+      {ActionType::Forward, 0, -1},    {ActionType::ForwardSave, 1, -1},
+      {ActionType::Backward, 1, -1},   {ActionType::Restore, 0, 0},
+      {ActionType::ForwardSave, 0, -1}, {ActionType::Backward, 0, -1},
+      {ActionType::Free, 0, 0}};
+  EXPECT_EQ(s.actions(), expected);
+}
+
+TEST(SplitEmitter, PoolsTakeConsecutiveSlotIdsAndReuseLifo) {
+  // Pool 0 owns slot 1, pool 1 slots 2..3. Every segment stores its
+  // midpoint in pool 1 until the budget runs out.
+  std::vector<int> levels;
+  const Schedule s = emit_split_schedule(
+      8, {1, 2}, 2, [&](bool, int a, int b, int budget, int level) {
+        levels.push_back(level);
+        if (budget == 0) return SplitChoice{};
+        return SplitChoice{(a + b) / 2, 1, budget - 1};
+      });
+  EXPECT_EQ(s.validate(), std::nullopt);
+  EXPECT_EQ(s.num_slots(), 4);
+  std::int32_t max_slot = 0;
+  for (const Action& a : s.actions()) {
+    if (a.type == ActionType::Store) max_slot = std::max(max_slot, a.slot);
+    EXPECT_NE(a.slot, 1) << "pool 0 was never chosen";
+  }
+  EXPECT_EQ(max_slot, 3);
+  EXPECT_EQ(levels.front(), 0);
+  EXPECT_NE(std::find(levels.begin(), levels.end(), 1), levels.end());
+}
+
+TEST(SplitEmitter, ExhaustedPoolThrows) {
+  // Asks for a slot at every split but owns only one.
+  EXPECT_THROW(
+      (void)emit_split_schedule(
+          4, {1}, 0,
+          [](bool, int a, int b, int, int) {
+            return SplitChoice{(a + b) / 2, 0, 0};
+          }),
+      std::logic_error);
 }
 
 }  // namespace

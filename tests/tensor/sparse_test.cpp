@@ -18,6 +18,14 @@ namespace {
 
 constexpr std::int64_t kChunkElems = std::int64_t{1} << 15;
 
+/// memcmp over n floats; n = 0 compares equal without touching the (then
+/// possibly null) pointers, which memcmp does not allow.
+int compare_bits(const float* a, const float* b, std::int64_t n) {
+  return n == 0 ? 0
+                : std::memcmp(a, b,
+                              static_cast<std::size_t>(n) * sizeof(float));
+}
+
 std::vector<float> make_values(std::int64_t n, double density,
                                std::uint32_t seed) {
   std::mt19937 rng(seed);
@@ -99,9 +107,7 @@ TEST(SparseKernelTest, CompactAndScatterMatchScalarAndRoundTrip) {
       scatter_nonzeros_scalar(expected_packed.data(), bitmap.data(), n,
                               expected_back.data());
       // The scalar pair must already round-trip bit-exactly.
-      ASSERT_EQ(std::memcmp(expected_back.data(), src.data(),
-                            static_cast<std::size_t>(n) * sizeof(float)),
-                0)
+      ASSERT_EQ(compare_bits(expected_back.data(), src.data(), n), 0)
           << "n=" << n << " d=" << density;
 
       for (const auto threading :
@@ -114,9 +120,7 @@ TEST(SparseKernelTest, CompactAndScatterMatchScalarAndRoundTrip) {
         std::vector<float> back(static_cast<std::size_t>(n), -2.0F);
         scatter_nonzeros(packed.data(), bitmap.data(), n, back.data(),
                          threading);
-        EXPECT_EQ(std::memcmp(back.data(), src.data(),
-                              static_cast<std::size_t>(n) * sizeof(float)),
-                  0)
+        EXPECT_EQ(compare_bits(back.data(), src.data(), n), 0)
             << "n=" << n << " d=" << density;
       }
     }

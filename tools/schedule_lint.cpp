@@ -16,7 +16,8 @@
 //
 // The full sweep covers > 1000 schedules (binomial Revolve dense grids and
 // large-l slot/rho grids, uniform segmentation, heterogeneous per-step-cost
-// DP, two-level RAM+disk Revolve) in a few seconds of wall clock.
+// DP over uniform slots and byte budgets, two-level RAM+disk Revolve) in a
+// few seconds of wall clock.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
