@@ -29,7 +29,7 @@ void json_escape(std::ostream& os, const std::string& s) {
   os << '"';
 }
 
-void json_facts(std::ostream& os, const Facts& f) {
+void json_facts(std::ostream& os, const core::ScheduleStats& f) {
   os << "{\"advances\":" << f.advances
      << ",\"forward_saves\":" << f.forward_saves
      << ",\"absorbed_saves\":" << f.absorbed_saves
@@ -44,6 +44,19 @@ void json_facts(std::ostream& os, const Facts& f) {
      << ",\"backward_cost\":" << f.backward_cost
      << ",\"io_cost\":" << f.io_cost << ",\"total_cost\":" << f.total_cost()
      << '}';
+}
+
+void json_counts(std::ostream& os,
+                 const std::map<std::string, std::int64_t>& counts) {
+  os << '{';
+  bool first = true;
+  for (const auto& [key, count] : counts) {
+    if (!first) os << ',';
+    first = false;
+    json_escape(os, key);
+    os << ':' << count;
+  }
+  os << '}';
 }
 
 void json_findings(std::ostream& os, const std::vector<Finding>& findings) {
@@ -72,6 +85,7 @@ void SweepReport::add(const SweepCase& sweep_case, const Report& report) {
   bool has_warning = false;
   for (const Finding& f : report.findings) {
     ++findings_by_check_[to_string(f.check)];
+    ++fam.findings_by_check[to_string(f.check)];
     if (f.severity == Severity::Error) {
       has_error = true;
     } else {
@@ -142,17 +156,14 @@ std::string SweepReport::to_json() const {
     first = false;
     json_escape(os, name);
     os << ":{\"cases\":" << stats.cases << ",\"failed\":" << stats.failed
-       << ",\"with_warnings\":" << stats.with_warnings << '}';
+       << ",\"with_warnings\":" << stats.with_warnings
+       << ",\"findings_by_check\":";
+    json_counts(os, stats.findings_by_check);
+    os << '}';
   }
-  os << "},\"findings_by_check\":{";
-  first = true;
-  for (const auto& [check, count] : findings_by_check_) {
-    if (!first) os << ',';
-    first = false;
-    json_escape(os, check);
-    os << ':' << count;
-  }
-  os << "},\"failures\":[";
+  os << "},\"findings_by_check\":";
+  json_counts(os, findings_by_check_);
+  os << ",\"failures\":[";
   for (std::size_t i = 0; i < failures_.size(); ++i) {
     const CaseRecord& r = failures_[i];
     if (i != 0) os << ',';
@@ -195,7 +206,11 @@ std::string SweepReport::summary() const {
      << " failed, " << warning_cases_ << " with warnings\n";
   for (const auto& [name, stats] : families_) {
     os << "  " << name << ": " << stats.cases << " cases, " << stats.failed
-       << " failed\n";
+       << " failed";
+    for (const auto& [check, count] : stats.findings_by_check) {
+      os << ", " << count << ' ' << check;
+    }
+    os << '\n';
   }
   if (!injections_.empty()) {
     os << "  injections: " << injections_detected() << '/'

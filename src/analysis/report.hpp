@@ -2,7 +2,7 @@
 //
 // SweepReport collects per-case interpreter verdicts (and, in injection
 // mode, per-corruption detection results) into totals suitable for a CI
-// gate: per-family case/failure counts, per-check finding counts, and a
+// gate: per-family case/failure and per-check finding counts, and a
 // capped list of failing cases with their findings spelled out. to_json()
 // serialises the whole report; tools/schedule_lint uploads that file as a
 // CI artifact so a red gate carries its own diagnosis.
@@ -22,7 +22,7 @@ namespace edgetrain::analysis {
 struct CaseRecord {
   std::string family;
   std::string name;
-  Facts facts;
+  core::ScheduleStats facts;
   std::vector<Finding> findings;
 };
 
@@ -40,6 +40,8 @@ struct FamilyStats {
   std::int64_t cases = 0;
   std::int64_t failed = 0;
   std::int64_t with_warnings = 0;
+  /// Findings of this family's cases, keyed by check name.
+  std::map<std::string, std::int64_t> findings_by_check;
 };
 
 /// Aggregated result of one sweep (and optional injection pass).

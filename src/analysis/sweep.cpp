@@ -30,6 +30,12 @@ std::string case_name(const char* family, std::initializer_list<
   return os.str();
 }
 
+/// Peak activation units of a slot-form split schedule with s <= l - 1 free
+/// slots: s + 1, except at s = l - 1 >= 1, where the last state is reversed
+/// in place and never stored. The bound is exact, so an extra store breaks
+/// it.
+int exact_peak_units(int l, int s) { return s == l - 1 && s >= 1 ? s : s + 1; }
+
 std::int64_t sweep_revolve(const SweepConfig& config,
                            const CaseVisitor& visit) {
   std::int64_t count = 0;
@@ -53,7 +59,7 @@ std::int64_t sweep_revolve(const SweepConfig& config,
                                      {"s", static_cast<double>(s)}});
       c.bounds.max_total_cost = exact_cost;
     }
-    c.bounds.max_memory_units = s + 1;
+    c.bounds.max_memory_units = exact_peak_units(l, s);
     c.bounds.max_ram_slots = s + 1;
     // Codec-weighted accounting at the fp16 planning ratio: Revolve holds
     // at most one live save, so the planner's 1 + ratio * s peak is a
@@ -169,7 +175,7 @@ std::int64_t sweep_hetero(const SweepConfig& config,
                                        static_cast<double>(profile)},
                                       {"s", static_cast<double>(s)}});
         c.cost.step_costs = costs;
-        c.bounds.max_memory_units = s + 1;
+        c.bounds.max_memory_units = exact_peak_units(l, s);
         c.bounds.max_ram_slots = s + 1;
         c.bounds.max_total_cost =
             solver.forward_cost(s) + solver.sweep_cost();

@@ -267,10 +267,10 @@ core::disk::DiskRevolveOptions priced_disk_options(
   return priced_disk_options(costs, model, std::move(base));
 }
 
-analysis::CostModel cost_model(const ChainCosts& costs,
+core::CostModel cost_model(const ChainCosts& costs,
                                const DeviceModel& model,
                                std::int32_t first_disk_slot) {
-  analysis::CostModel cm;
+  core::CostModel cm;
   cm.step_costs = costs.forward_us;
   cm.first_disk_slot = first_disk_slot;
   const double bytes = costs.mean_boundary_bytes() > 0.0
@@ -281,11 +281,11 @@ analysis::CostModel cost_model(const ChainCosts& costs,
   return cm;
 }
 
-analysis::CostModel cost_model(const ChainCosts& costs,
+core::CostModel cost_model(const ChainCosts& costs,
                                const DeviceModel& model,
                                std::int32_t first_disk_slot,
                                std::vector<double> slot_bytes_ratios) {
-  analysis::CostModel cm = cost_model(costs, model, first_disk_slot);
+  core::CostModel cm = cost_model(costs, model, first_disk_slot);
   cm.slot_bytes_ratios = std::move(slot_bytes_ratios);
   return cm;
 }

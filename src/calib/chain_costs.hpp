@@ -1,7 +1,7 @@
 // edgetrain: converting chains into measured per-step cost/size vectors.
 //
 // The DP planners (core/dynprog, core/disk_revolve, core/planner) and the
-// schedule interpreter (analysis/interp) all accept arbitrary per-step
+// schedule replay (core/replay) all accept arbitrary per-step
 // cost vectors but were historically fed unit or analytic FLOP counts --
 // optimal for an abstraction, not for the hardware. This module closes the
 // loop: a ChainCosts carries per-step forward/backward microseconds and
@@ -18,7 +18,7 @@
 // and the feeder helpers translate a ChainCosts into every planner's
 // native inputs: HeteroSolver cost-and-unit vectors,
 // DiskRevolveOptions whose IO weights come from the measured SD bandwidth,
-// a measured ChainSpec for MemoryPlanner, and an analysis::CostModel whose
+// a measured ChainSpec for MemoryPlanner, and an core::CostModel whose
 // lint bounds are stated in calibrated microseconds.
 #pragma once
 
@@ -27,10 +27,10 @@
 #include <string>
 #include <vector>
 
-#include "analysis/interp.hpp"
 #include "calib/device_model.hpp"
 #include "core/disk_revolve.hpp"
 #include "core/planner.hpp"
+#include "core/replay.hpp"
 #include "core/slot_store.hpp"
 #include "models/resnet.hpp"
 #include "nn/chain.hpp"
@@ -159,7 +159,7 @@ struct MeasureOptions {
 /// weights from the measurement, disk IO weights from the measured spill
 /// path. total_cost() of a clean interpretation is then the predicted
 /// wall-clock (microseconds) of replaying the schedule on this device.
-[[nodiscard]] analysis::CostModel cost_model(
+[[nodiscard]] core::CostModel cost_model(
     const ChainCosts& costs, const DeviceModel& model,
     std::int32_t first_disk_slot = std::numeric_limits<std::int32_t>::max());
 
@@ -167,7 +167,7 @@ struct MeasureOptions {
 /// threaded into the interpreter's per-slot weighted peak accounting, so
 /// schedule_lint re-checks a re-planned schedule against the ratios it was
 /// actually solved with.
-[[nodiscard]] analysis::CostModel cost_model(
+[[nodiscard]] core::CostModel cost_model(
     const ChainCosts& costs, const DeviceModel& model,
     std::int32_t first_disk_slot, std::vector<double> slot_bytes_ratios);
 

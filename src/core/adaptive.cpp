@@ -38,56 +38,49 @@ double AdaptiveReplanner::planned_ratio(std::int32_t slot) const {
                                     : options_.fallback_ratio;
 }
 
-void AdaptiveReplanner::note_store(const SlotStore& store,
-                                   std::int32_t slot) {
-  if (slot <= 0) return;  // slot 0 is the chain input, never re-priced
-  stored_[static_cast<std::size_t>(slot)] = true;
-  if (drift_latched_) return;
-  // measured_slot_ratio(slot) reflects every put that already returned, so
-  // by the time a later Store fires, all earlier fills of this pass are
-  // visible -- the latch arms mid-pass, one action late at worst.
-  for (std::int32_t watched = 1;
-       watched < static_cast<std::int32_t>(stored_.size()); ++watched) {
-    if (!stored_[static_cast<std::size_t>(watched)]) continue;
-    const double planned = planned_ratio(watched);
-    const double measured = store.measured_slot_ratio(watched);
-    if (std::abs(measured - planned) / planned > options_.drift_threshold) {
-      drift_latched_ = true;
-      return;
-    }
+void AdaptiveReplanner::observe_put(const SlotStore& store) {
+  if (pending_slot_ <= 0) return;  // slot 0 is the chain input, never priced
+  const std::int32_t slot = pending_slot_;
+  pending_slot_ = 0;
+  const double measured = store.measured_slot_ratio(slot);
+  double& worst = worst_ratios_[static_cast<std::size_t>(slot)];
+  worst = std::max(worst, measured);
+  const double planned = planned_ratio(slot);
+  if (std::abs(measured - planned) / planned > options_.drift_threshold) {
+    drift_latched_ = true;
   }
 }
 
 ExecutorHooks AdaptiveReplanner::hooks(const SlotStore& store) {
   ExecutorHooks hooks;
   hooks.on_action = [this, &store](std::int64_t, const Action& action) {
-    if (action.type == ActionType::Store) note_store(store, action.slot);
+    // The hook runs before its action, so the previous Store's put has
+    // returned and measured_slot_ratio already reflects it.
+    observe_put(store);
+    if (action.type == ActionType::Store) pending_slot_ = action.slot;
   };
   return hooks;
 }
 
 bool AdaptiveReplanner::finish_pass(const SlotStore& store) {
-  // The last Store of a pass has no later hook invocation to observe it;
-  // run one final latch sweep before deciding.
-  for (std::int32_t slot = 1;
-       slot < static_cast<std::int32_t>(stored_.size()) && !drift_latched_;
-       ++slot) {
-    if (stored_[static_cast<std::size_t>(slot)]) note_store(store, slot);
-  }
+  // The last Store of a pass has no later hook invocation to observe it.
+  observe_put(store);
   const bool armed = drift_latched_;
   drift_latched_ = false;
-  std::fill(stored_.begin(), stored_.end(), false);
-  if (!armed) return false;
-
-  // Measured ratios in checkpoint order (entry k = slot k + 1); slots the
-  // pass never filled keep their planned price.
-  std::vector<double> measured(static_cast<std::size_t>(free_slots_),
-                               options_.fallback_ratio);
+  // Each slot is priced at the worst ratio it held this pass, in
+  // checkpoint order (entry k = slot k + 1): every state a slot held was
+  // resident at some point, so pricing only its last put could buy a plan
+  // the chain does not fit. Slots the pass never filled keep their price.
+  std::vector<double> measured(static_cast<std::size_t>(free_slots_));
   for (int k = 0; k < free_slots_; ++k) {
     const auto slot = static_cast<std::int32_t>(k + 1);
+    const double worst = worst_ratios_[static_cast<std::size_t>(slot)];
     measured[static_cast<std::size_t>(k)] =
-        std::clamp(store.measured_slot_ratio(slot), 1e-6, 1.0);
+        worst > 0.0 ? std::clamp(worst, 1e-6, 1.0) : planned_ratio(slot);
   }
+  std::fill(worst_ratios_.begin(), worst_ratios_.end(), 0.0);
+  if (!armed) return false;
+
   // Slots beyond the measured prefix are priced at the WORST measured
   // ratio: conservative among what this chain actually produced, yet able
   // to buy more slots than the codec's static fallback -- the whole point
@@ -115,7 +108,7 @@ void AdaptiveReplanner::rebuild(int free_slots) {
   schedule_ = revolve::make_schedule(num_steps_, free_slots_);
   planned_ratios_.resize(static_cast<std::size_t>(free_slots_),
                          options_.fallback_ratio);
-  stored_.assign(static_cast<std::size_t>(schedule_.num_slots()), false);
+  worst_ratios_.assign(static_cast<std::size_t>(schedule_.num_slots()), 0.0);
 }
 
 }  // namespace edgetrain::core

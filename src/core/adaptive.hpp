@@ -7,17 +7,16 @@
 // worst-case planning_bytes_ratio up front, so the first plan is
 // conservative. This module closes the loop:
 //
-//   1. every pass, the ExecutorHooks returned by hooks() watch which
-//      checkpoint slots the schedule fills and latch when any slot's
-//      SlotStore::measured_slot_ratio drifts more than
-//      options.drift_threshold (relative) from the ratio the current plan
-//      priced it at;
-//   2. at the pass boundary, finish_pass() samples the measured per-slot
-//      ratios and -- only if the latch is set -- re-solves
-//      revolve::max_free_slots_for_bytes with the measured vector and
-//      rebuilds the schedule. The new plan takes effect at the NEXT pass;
-//      the pass that measured the drift ran to completion under the old
-//      plan.
+//   1. every pass, the ExecutorHooks returned by hooks() read the
+//      SlotStore::measured_slot_ratio of each checkpoint put once it has
+//      returned, keep the worst ratio each slot held, and latch when any
+//      put drifts more than options.drift_threshold (relative) from the
+//      ratio the current plan priced its slot at;
+//   2. at the pass boundary, finish_pass() prices each slot at the worst
+//      ratio it held and -- only if the latch is set -- re-solves
+//      revolve::max_free_slots_for_bytes with that vector and rebuilds the
+//      schedule. The new plan takes effect at the NEXT pass; the pass that
+//      measured the drift ran to completion under the old plan.
 //
 // Gradients are bit-identical across re-plans: every Revolve schedule is
 // exact (checkpoint/recompute never changes the arithmetic as long as the
@@ -82,17 +81,18 @@ class AdaptiveReplanner {
   /// Number of times finish_pass() rebuilt the schedule.
   [[nodiscard]] int replans() const noexcept { return replans_; }
 
-  /// True once any watched slot's measured ratio drifted past the
+  /// True once any checkpoint put's measured ratio drifted past the
   /// threshold during the current pass (cleared by finish_pass).
   [[nodiscard]] bool drift_latched() const noexcept { return drift_latched_; }
 
-  /// Executor hooks that watch Store actions of the in-flight pass. The
-  /// returned object borrows @p store and this; both must outlive the run.
+  /// Executor hooks that measure the Store actions of the in-flight pass.
+  /// The returned object borrows @p store and this; both must outlive the
+  /// run.
   [[nodiscard]] ExecutorHooks hooks(const SlotStore& store);
 
-  /// Pass boundary: evaluates the drift latch against @p store's measured
-  /// ratios and, when armed, re-solves the slot count with the measured
-  /// per-slot vector and rebuilds the schedule. Returns true when the plan
+  /// Pass boundary: measures the pass's last put and, when the drift latch
+  /// is armed, re-solves the slot count with each slot priced at the worst
+  /// ratio it held this pass, and rebuilds the schedule. Returns true when the plan
   /// changed -- the caller must then size its next store for the new
   /// schedule().num_slots(). When the measured ratios no longer fit any
   /// s >= 0 (pathological), the current plan is kept and false returned.
@@ -100,7 +100,7 @@ class AdaptiveReplanner {
 
  private:
   [[nodiscard]] double planned_ratio(std::int32_t slot) const;
-  void note_store(const SlotStore& store, std::int32_t slot);
+  void observe_put(const SlotStore& store);
   void rebuild(int free_slots);
 
   int num_steps_;
@@ -108,7 +108,8 @@ class AdaptiveReplanner {
   int free_slots_ = 0;
   Schedule schedule_;
   std::vector<double> planned_ratios_;  ///< entry k = checkpoint slot k+1
-  std::vector<bool> stored_;            ///< slots filled this pass
+  std::vector<double> worst_ratios_;  ///< per slot, this pass; 0 = unfilled
+  std::int32_t pending_slot_ = 0;     ///< last Store's slot, not yet read
   bool drift_latched_ = false;
   int replans_ = 0;
 };

@@ -54,12 +54,15 @@ DiskRevolveSolver::DiskRevolveSolver(int num_steps,
     return options_.overlap_io ? std::max(read[li] - window, 0.0) : read[li];
   };
 
-  // Convention (matches the schedule emitter exactly): every recursion
-  // enters with the current state positioned at the segment input; restores
-  // are charged where the emitter issues them (re-positioning after the
-  // right sub-segment, and per backward in the slot-less base case). The
-  // sweep cost F is counted analytically: the paper's Backward unit absorbs
-  // its own re-materialisation, so F(1) = 1 (the sweep through the step).
+  // Convention (matches the schedule emitter): every recursion enters with
+  // the current state positioned at the segment input; restores are charged
+  // where the emitter issues them (re-positioning after the right
+  // sub-segment, and per backward in the slot-less base case). The one
+  // exception is a split at j = len - 1: the write is charged, but the
+  // emitter reverses that last step without storing it, so the table is an
+  // upper bound on the emitted schedule's cost. The sweep cost F is counted
+  // analytically: the paper's Backward unit absorbs its own
+  // re-materialisation, so F(1) = 1 (the sweep through the step).
   for (int c = 0; c <= options_.ram_slots; ++c) {
     for (const Level level : {Level::Ram, Level::Disk}) {
       fwd_[idx(1, c, level)] = 1.0;
@@ -168,27 +171,9 @@ Schedule DiskRevolveSolver::make_schedule() const {
 }
 
 int DiskRevolveSolver::peak_disk_slots() const {
-  if (peak_disk_ >= 0) return peak_disk_;
-  const Schedule sched = make_schedule();
-  int live = 0;
-  int peak = 0;
-  std::vector<bool> occupied(
-      static_cast<std::size_t>(sched.num_slots()), false);
-  for (const Action& a : sched.actions()) {
-    if (a.type == ActionType::Store && is_disk_slot(a.slot)) {
-      if (!occupied[static_cast<std::size_t>(a.slot)]) {
-        occupied[static_cast<std::size_t>(a.slot)] = true;
-        peak = std::max(peak, ++live);
-      }
-    } else if (a.type == ActionType::Free && is_disk_slot(a.slot)) {
-      if (occupied[static_cast<std::size_t>(a.slot)]) {
-        occupied[static_cast<std::size_t>(a.slot)] = false;
-        --live;
-      }
-    }
-  }
-  peak_disk_ = peak;
-  return peak_disk_;
+  CostModel levels;
+  levels.first_disk_slot = options_.ram_slots + 1;
+  return interpret(make_schedule(), levels).facts.peak_disk_slots_in_use;
 }
 
 }  // namespace edgetrain::core::disk

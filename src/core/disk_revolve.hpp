@@ -70,14 +70,18 @@ class DiskRevolveSolver {
   }
 
   /// F_ram(l, ram_slots): total cost (forward units + weighted IO) of a full
-  /// training pass; the chain input counts as a free RAM checkpoint.
+  /// training pass; the chain input counts as a free RAM checkpoint. An
+  /// upper bound on the emitted schedule's replayed cost: the DP charges a
+  /// disk write for a split at the segment's last step, which the emitter
+  /// reverses in place without storing.
   [[nodiscard]] double forward_cost() const;
 
   /// Recompute factor (forward_cost + l backwards) / (2 l).
   [[nodiscard]] double recompute_factor() const;
 
   /// Peak number of simultaneously live disk checkpoints in the emitted
-  /// schedule (0 when allow_disk is false or disk is never profitable).
+  /// schedule (0 when allow_disk is false or disk is never profitable),
+  /// read from its replay.
   [[nodiscard]] int peak_disk_slots() const;
 
   /// Executor-dialect schedule. RAM slots are numbered 0..ram_slots (0 is
@@ -109,7 +113,6 @@ class DiskRevolveSolver {
   std::vector<double> rev_;
   std::vector<Choice> fwd_choice_;
   std::vector<Choice> rev_choice_;
-  mutable int peak_disk_ = -1;  // lazily computed from the schedule
 };
 
 }  // namespace edgetrain::core::disk

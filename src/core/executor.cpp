@@ -41,11 +41,16 @@ ExecutionResult ScheduleExecutor::run(ChainRunner& runner,
         " steps but schedule was built for " +
         std::to_string(schedule.num_steps()));
   }
-  const int num_steps = schedule.num_steps();
+  // One symbolic replay proves the schedule safe before the network or the
+  // store sees any of it, and supplies the result's stats.
+  const Report replay = interpret(schedule);
+  if (const auto error = replay.first_error()) die(*error);
+  const int last_step = schedule.num_steps() - 1;
 
   ScopedPeakProbe probe;
   ExecutionResult result;
   result.baseline_bytes = probe.baseline_bytes();
+  result.stats = replay.facts;
 
   // Hand the store the full action tape so lookahead-capable backends
   // (TieredSlotStore) can prefetch upcoming restores during recompute.
@@ -60,7 +65,6 @@ ExecutionResult ScheduleExecutor::run(ChainRunner& runner,
   } replay_scope(store, schedule);
 
   Tensor current = input;
-  std::int32_t current_state = 0;
   Tensor grad;
   bool seeded = false;
 
@@ -71,60 +75,38 @@ ExecutionResult ScheduleExecutor::run(ChainRunner& runner,
     switch (a.type) {
       case ActionType::Forward:
       case ActionType::ForwardSave: {
-        if (current_state != a.index) {
-          die("forward of step " + std::to_string(a.index) +
-              " from state " + std::to_string(current_state));
-        }
-        Tensor next =
+        current =
             runner.forward(a.index, current, a.type == ActionType::ForwardSave);
-        current = std::move(next);
-        current_state = a.index + 1;
-        if (current_state == num_steps && !result.output.defined()) {
+        if (a.index == last_step && !result.output.defined()) {
           result.output = current;
         }
         break;
       }
       case ActionType::Backward: {
+        // The replay proved the first Backward runs at the chain output.
         if (!seeded) {
-          if (a.index != num_steps - 1) {
-            die("first backward must be the last step");
-          }
-          if (current_state != num_steps) {
-            die("output gradient seeded before the chain output exists");
-          }
           grad = loss_grad(current);
           seeded = true;
           // The frontier activation is consumed by the loss; release our
           // handle so peak accounting reflects the executor's true state.
           current.reset();
-          current_state = -1;
         }
         grad = runner.backward(a.index, grad);
         break;
       }
-      case ActionType::Store: {
-        if (current_state != a.index) {
-          die("store of state " + std::to_string(a.index) + " from state " +
-              std::to_string(current_state));
-        }
+      case ActionType::Store:
         store.put(a.slot, current);
         break;
-      }
-      case ActionType::Restore: {
+      case ActionType::Restore:
         current = store.get(a.slot);
-        current_state = a.index;
         break;
-      }
-      case ActionType::Free: {
+      case ActionType::Free:
         store.drop(a.slot);
         break;
-      }
     }
   }
 
-  if (!seeded) die("schedule never reached the output");
   result.input_grad = std::move(grad);
-  result.stats = schedule.stats();
   result.peak_tracked_bytes = probe.peak_bytes();
   return result;
 }

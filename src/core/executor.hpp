@@ -59,7 +59,7 @@ struct ExecutorHooks {
 struct ExecutionResult {
   Tensor input_grad;               ///< d loss / d chain-input
   Tensor output;                   ///< chain output (state_l), from the sweep
-  ScheduleStats stats;             ///< replayed action counts
+  ScheduleStats stats;             ///< facts of the schedule's replay
   std::size_t peak_tracked_bytes = 0;  ///< high-water mark during the run
   std::size_t baseline_bytes = 0;      ///< live bytes when the run started
   std::int64_t actions_executed = 0;   ///< schedule actions replayed
@@ -70,8 +70,9 @@ class ScheduleExecutor {
  public:
   /// Executes `schedule` on `runner` starting from `input`, keeping
   /// checkpoints in a RAM-only TieredSlotStore.
-  /// Throws std::logic_error on schedule/runner disagreement (the schedule
-  /// should have been validate()d first; the executor still guards).
+  /// Throws std::logic_error before any runner call when the runner's step
+  /// count differs from the schedule's or the schedule's replay
+  /// (core/replay.hpp) finds an error; stats come from that same replay.
   [[nodiscard]] ExecutionResult run(ChainRunner& runner,
                                     const Schedule& schedule,
                                     const Tensor& input,

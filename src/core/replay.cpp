@@ -1,10 +1,12 @@
-#include "analysis/interp.hpp"
+#include "core/replay.hpp"
 
 #include <algorithm>
 #include <deque>
 #include <sstream>
 
-namespace edgetrain::analysis {
+#include "core/schedule.hpp"
+
+namespace edgetrain::core {
 
 namespace {
 constexpr std::int32_t kNoState = -1;
@@ -17,6 +19,7 @@ std::string to_string(Check check) {
     case Check::SaveAlreadyLive: return "save-already-live";
     case Check::BackwardOrder: return "backward-order";
     case Check::BackwardLiveness: return "backward-liveness";
+    case Check::SeedState: return "seed-state";
     case Check::SlotRange: return "slot-range";
     case Check::StoreState: return "store-state";
     case Check::RestoreEmpty: return "restore-empty";
@@ -37,10 +40,19 @@ std::string Report::summary() const {
   std::ostringstream os;
   for (const Finding& f : findings) {
     os << (f.severity == Severity::Error ? "error" : "warning") << " ["
-       << analysis::to_string(f.check) << "] at action " << f.position << ": "
+       << to_string(f.check) << "] at action " << f.position << ": "
        << f.detail << '\n';
   }
   return os.str();
+}
+
+std::optional<std::string> Report::first_error() const {
+  for (const Finding& f : findings) {
+    if (f.severity != Severity::Error) continue;
+    if (f.position < 0) return f.detail;
+    return "action " + std::to_string(f.position) + ": " + f.detail;
+  }
+  return std::nullopt;
 }
 
 namespace {
@@ -53,8 +65,8 @@ struct LivenessFacts {
   std::vector<bool> dead_stores;   ///< indexed by action position
 };
 
-LivenessFacts liveness_pass(const core::Schedule& schedule) {
-  const std::vector<core::Action>& actions = schedule.actions();
+LivenessFacts liveness_pass(const Schedule& schedule) {
+  const std::vector<Action>& actions = schedule.actions();
   LivenessFacts facts;
   facts.free_orphans.assign(actions.size(), false);
   facts.dead_stores.assign(actions.size(), false);
@@ -62,18 +74,18 @@ LivenessFacts liveness_pass(const core::Schedule& schedule) {
       static_cast<std::size_t>(std::max(schedule.num_slots(), 0));
   std::vector<bool> needed(num_slots, false);
   for (std::size_t pos = actions.size(); pos-- > 0;) {
-    const core::Action& a = actions[pos];
+    const Action& a = actions[pos];
     if (a.slot < 0 || a.slot >= schedule.num_slots()) continue;
     const auto slot = static_cast<std::size_t>(a.slot);
     switch (a.type) {
-      case core::ActionType::Restore:
+      case ActionType::Restore:
         needed[slot] = true;
         break;
-      case core::ActionType::Store:
+      case ActionType::Store:
         facts.dead_stores[pos] = !needed[slot];
         needed[slot] = false;
         break;
-      case core::ActionType::Free:
+      case ActionType::Free:
         facts.free_orphans[pos] = needed[slot];
         break;
       default:
@@ -85,7 +97,7 @@ LivenessFacts liveness_pass(const core::Schedule& schedule) {
 
 class Interpreter {
  public:
-  Interpreter(const core::Schedule& schedule, const CostModel& cost,
+  Interpreter(const Schedule& schedule, const CostModel& cost,
               const Bounds& bounds)
       : schedule_(schedule),
         cost_(cost),
@@ -99,7 +111,7 @@ class Interpreter {
 
   Report run() {
     const LivenessFacts liveness = liveness_pass(schedule_);
-    const std::vector<core::Action>& actions = schedule_.actions();
+    const std::vector<Action>& actions = schedule_.actions();
     for (std::size_t pos = 0; pos < actions.size(); ++pos) {
       step(pos, actions[pos], liveness);
       update_peaks();
@@ -131,11 +143,11 @@ class Interpreter {
     return slot >= 0 && slot < num_slots_;
   }
 
-  void step(std::size_t pos, const core::Action& a,
+  void step(std::size_t pos, const Action& a,
             const LivenessFacts& liveness) {
     switch (a.type) {
-      case core::ActionType::Forward:
-      case core::ActionType::ForwardSave: {
+      case ActionType::Forward:
+      case ActionType::ForwardSave: {
         if (!step_in_range(a.index)) {
           error(pos, Check::StepRange,
                 "forward of step " + std::to_string(a.index) +
@@ -145,10 +157,10 @@ class Interpreter {
         if (current_state_ != a.index) {
           error(pos, Check::ForwardState,
                 "forward of step " + std::to_string(a.index) +
-                    " while holding state " + std::to_string(current_state_));
+                    " but current state is " + std::to_string(current_state_));
         }
         double charged = 0.0;
-        if (a.type == core::ActionType::ForwardSave) {
+        if (a.type == ActionType::ForwardSave) {
           ++report_.facts.forward_saves;
           if (saved_[static_cast<std::size_t>(a.index)]) {
             error(pos, Check::SaveAlreadyLive,
@@ -175,7 +187,7 @@ class Interpreter {
         current_state_ = a.index + 1;
         break;
       }
-      case core::ActionType::Backward: {
+      case ActionType::Backward: {
         ++report_.facts.backwards;
         if (!step_in_range(a.index)) {
           error(pos, Check::StepRange,
@@ -201,9 +213,20 @@ class Interpreter {
         }
         reversed_[static_cast<std::size_t>(a.index)] = true;
         adjoint_frontier_ = a.index;
+        // The first Backward seeds the loss gradient from the current state,
+        // which the loss consumes: the executor holds no state after it.
+        if (report_.facts.backwards == 1) {
+          if (current_state_ != num_steps_) {
+            error(pos, Check::SeedState,
+                  "loss seeded from state " + std::to_string(current_state_) +
+                      " instead of the chain output " +
+                      std::to_string(num_steps_));
+          }
+          current_state_ = kNoState;
+        }
         break;
       }
-      case core::ActionType::Store: {
+      case ActionType::Store: {
         ++report_.facts.stores;
         if (!slot_in_range(a.slot)) {
           error(pos, Check::SlotRange,
@@ -214,7 +237,7 @@ class Interpreter {
         if (current_state_ != a.index) {
           error(pos, Check::StoreState,
                 "store of state " + std::to_string(a.index) +
-                    " while holding state " + std::to_string(current_state_));
+                    " but current state is " + std::to_string(current_state_));
         }
         if (liveness.dead_stores[pos]) {
           warn(pos, Check::DeadStore,
@@ -234,7 +257,7 @@ class Interpreter {
         }
         break;
       }
-      case core::ActionType::Restore: {
+      case ActionType::Restore: {
         ++report_.facts.restores;
         if (!slot_in_range(a.slot)) {
           error(pos, Check::SlotRange,
@@ -264,7 +287,7 @@ class Interpreter {
         current_state_ = a.index;
         break;
       }
-      case core::ActionType::Free: {
+      case ActionType::Free: {
         ++report_.facts.frees;
         if (!slot_in_range(a.slot)) {
           error(pos, Check::SlotRange,
@@ -376,7 +399,7 @@ class Interpreter {
   }
 
   void update_peaks() {
-    Facts& f = report_.facts;
+    ScheduleStats& f = report_.facts;
     f.peak_slots_in_use = std::max(f.peak_slots_in_use, slots_in_use_);
     f.peak_ram_slots_in_use =
         std::max(f.peak_ram_slots_in_use, ram_slots_in_use_);
@@ -429,7 +452,7 @@ class Interpreter {
                      "step " + std::to_string(i) + " never reversed");
       }
     }
-    const Facts& f = report_.facts;
+    const ScheduleStats& f = report_.facts;
     if (bounds_.max_memory_units &&
         f.peak_memory_units > *bounds_.max_memory_units) {
       error_at_end(Check::MemoryBound,
@@ -461,7 +484,7 @@ class Interpreter {
     }
   }
 
-  const core::Schedule& schedule_;
+  const Schedule& schedule_;
   const CostModel& cost_;
   const Bounds& bounds_;
   const std::int32_t num_steps_;
@@ -494,10 +517,10 @@ class Interpreter {
 
 }  // namespace
 
-Report interpret(const core::Schedule& schedule, const CostModel& cost,
+Report interpret(const Schedule& schedule, const CostModel& cost,
                  const Bounds& bounds) {
   Interpreter interp(schedule, cost, bounds);
   return interp.run();
 }
 
-}  // namespace edgetrain::analysis
+}  // namespace edgetrain::core

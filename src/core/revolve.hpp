@@ -135,7 +135,9 @@ class RevolveTable {
 /// Generates the executor-dialect schedule realising F(l, s): slot 0 holds
 /// the chain input, slots 1..s are the free checkpoints, every Backward is
 /// preceded by its re-materialising ForwardSave. The result validates and
-/// replays to peak_memory_units == s + 1.
+/// replays to peak_memory_units == s + 1 for s < l - 1. With s >= l - 1 it
+/// replays to l - 1: the last state is reversed where the sweep leaves it,
+/// never stored.
 [[nodiscard]] Schedule make_schedule(int num_steps, int free_slots);
 
 /// Same, emitting from a prebuilt table (num_steps <= table.max_steps(),

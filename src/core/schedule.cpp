@@ -4,7 +4,6 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_set>
 #include <utility>
 
 namespace edgetrain::core {
@@ -21,169 +20,10 @@ std::string to_string(ActionType type) {
   return "?";
 }
 
-ScheduleStats Schedule::stats() const {
-  ScheduleStats stats;
-  int slots_in_use = 0;
-  int live_saves = 0;
-  std::vector<bool> occupied(static_cast<std::size_t>(std::max(num_slots_, 0)),
-                             false);
-  std::vector<bool> saved(static_cast<std::size_t>(std::max(num_steps_, 0)),
-                          false);
-  auto update_peaks = [&] {
-    stats.peak_slots_in_use = std::max(stats.peak_slots_in_use, slots_in_use);
-    // Discount one unit for the stored chain input (state_0): it lives in
-    // the data buffer and is not an activation the paper's tables count.
-    stats.peak_memory_units =
-        std::max(stats.peak_memory_units, slots_in_use + live_saves - 1);
-  };
-  for (const Action& action : actions_) {
-    switch (action.type) {
-      case ActionType::Forward:
-        ++stats.advances;
-        break;
-      case ActionType::ForwardSave:
-        ++stats.forward_saves;
-        if (action.index >= 0 && action.index < num_steps_ &&
-            !saved[static_cast<std::size_t>(action.index)]) {
-          saved[static_cast<std::size_t>(action.index)] = true;
-          ++live_saves;
-        }
-        break;
-      case ActionType::Backward:
-        ++stats.backwards;
-        if (action.index >= 0 && action.index < num_steps_ &&
-            saved[static_cast<std::size_t>(action.index)]) {
-          saved[static_cast<std::size_t>(action.index)] = false;
-          --live_saves;
-        }
-        break;
-      case ActionType::Store:
-        ++stats.stores;
-        if (action.slot >= 0 &&
-            action.slot < static_cast<std::int32_t>(occupied.size()) &&
-            !occupied[static_cast<std::size_t>(action.slot)]) {
-          occupied[static_cast<std::size_t>(action.slot)] = true;
-          ++slots_in_use;
-        }
-        break;
-      case ActionType::Restore:
-        ++stats.restores;
-        break;
-      case ActionType::Free:
-        if (action.slot >= 0 &&
-            action.slot < static_cast<std::int32_t>(occupied.size()) &&
-            occupied[static_cast<std::size_t>(action.slot)]) {
-          occupied[static_cast<std::size_t>(action.slot)] = false;
-          --slots_in_use;
-        }
-        break;
-    }
-    update_peaks();
-  }
-  return stats;
-}
+ScheduleStats Schedule::stats() const { return interpret(*this).facts; }
 
 std::optional<std::string> Schedule::validate() const {
-  constexpr std::int32_t kNoState = -1;
-  std::int32_t current_state = 0;  // we begin holding state_0 (the input)
-  std::int32_t adjoint_frontier = num_steps_;  // next Backward must be this-1
-  std::vector<bool> saved(static_cast<std::size_t>(num_steps_), false);
-  std::vector<std::int32_t> slots(static_cast<std::size_t>(num_slots_),
-                                  kNoState);
-  std::vector<bool> reversed(static_cast<std::size_t>(num_steps_), false);
-
-  auto fail = [&](std::size_t pos, const std::string& why) {
-    std::ostringstream os;
-    os << "action " << pos << ": " << why;
-    return os.str();
-  };
-
-  for (std::size_t pos = 0; pos < actions_.size(); ++pos) {
-    const Action& a = actions_[pos];
-    switch (a.type) {
-      case ActionType::Forward:
-      case ActionType::ForwardSave: {
-        if (a.index < 0 || a.index >= num_steps_) {
-          return fail(pos, "forward step out of range");
-        }
-        if (current_state != a.index) {
-          return fail(pos, "forward of step " + std::to_string(a.index) +
-                               " but current state is " +
-                               std::to_string(current_state));
-        }
-        if (a.type == ActionType::ForwardSave) {
-          if (saved[static_cast<std::size_t>(a.index)]) {
-            return fail(pos, "ForwardSave of step " + std::to_string(a.index) +
-                                 " whose intermediates are already live");
-          }
-          saved[static_cast<std::size_t>(a.index)] = true;
-        }
-        current_state = a.index + 1;
-        break;
-      }
-      case ActionType::Backward: {
-        if (a.index != adjoint_frontier - 1) {
-          return fail(pos, "backward of step " + std::to_string(a.index) +
-                               " out of order (expected " +
-                               std::to_string(adjoint_frontier - 1) + ")");
-        }
-        if (!saved[static_cast<std::size_t>(a.index)]) {
-          return fail(pos, "backward of step " + std::to_string(a.index) +
-                               " without live intermediates");
-        }
-        saved[static_cast<std::size_t>(a.index)] = false;
-        reversed[static_cast<std::size_t>(a.index)] = true;
-        adjoint_frontier = a.index;
-        break;
-      }
-      case ActionType::Store: {
-        if (a.slot < 0 || a.slot >= num_slots_) {
-          return fail(pos, "store to slot out of range");
-        }
-        if (current_state != a.index) {
-          return fail(pos, "store of state " + std::to_string(a.index) +
-                               " but current state is " +
-                               std::to_string(current_state));
-        }
-        slots[static_cast<std::size_t>(a.slot)] = a.index;
-        break;
-      }
-      case ActionType::Restore: {
-        if (a.slot < 0 || a.slot >= num_slots_) {
-          return fail(pos, "restore from slot out of range");
-        }
-        const std::int32_t held = slots[static_cast<std::size_t>(a.slot)];
-        if (held == kNoState) {
-          return fail(pos,
-                      "restore from empty slot " + std::to_string(a.slot));
-        }
-        if (held != a.index) {
-          return fail(pos, "restore expected state " + std::to_string(a.index) +
-                               " but slot holds " + std::to_string(held));
-        }
-        current_state = held;
-        break;
-      }
-      case ActionType::Free: {
-        if (a.slot < 0 || a.slot >= num_slots_) {
-          return fail(pos, "free of slot out of range");
-        }
-        slots[static_cast<std::size_t>(a.slot)] = kNoState;
-        break;
-      }
-    }
-  }
-
-  if (adjoint_frontier != 0) {
-    return "incomplete reversal: adjoint frontier stopped at " +
-           std::to_string(adjoint_frontier);
-  }
-  for (std::int32_t i = 0; i < num_steps_; ++i) {
-    if (!reversed[static_cast<std::size_t>(i)]) {
-      return "step " + std::to_string(i) + " never reversed";
-    }
-  }
-  return std::nullopt;
+  return interpret(*this).first_error();
 }
 
 std::string Schedule::to_string() const {
@@ -267,6 +107,14 @@ class SplitEmitter {
     if (pool.empty()) {
       throw std::logic_error("emit_split_schedule: slot pool " +
                              std::to_string(choice.pool) + " exhausted");
+    }
+    if (j == b - 1) {
+      // A one-step right segment is reversed where it is computed; storing
+      // its input would be a checkpoint nothing ever restores.
+      reverse_one(j);
+      schedule_.restore(a, input_slot);
+      solve(false, a, j, budget, level, input_slot);
+      return;
     }
     const std::int32_t slot = pool.back();
     pool.pop_back();

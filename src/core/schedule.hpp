@@ -4,7 +4,7 @@
 // segmentation, heterogeneous DP, two-level disk Revolve) emits the same
 // Schedule IR: a linear program of typed actions over an l-step chain and a
 // bounded set of checkpoint slots. The executor replays the IR against a
-// real neural network; the validator replays it symbolically and checks
+// real neural network; core/replay.hpp replays it symbolically and checks
 // well-formedness, so scheduler bugs are caught without running tensor code.
 //
 // Chain model (the paper's LinearResNet formulation):
@@ -30,6 +30,8 @@
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "core/replay.hpp"
 
 namespace edgetrain::core {
 
@@ -65,35 +67,6 @@ struct Action {
   [[nodiscard]] bool operator==(const Action&) const = default;
 };
 
-/// Replay statistics of a schedule.
-struct ScheduleStats {
-  std::int64_t advances = 0;       // Forward actions
-  std::int64_t forward_saves = 0;  // ForwardSave actions
-  std::int64_t backwards = 0;      // Backward actions
-  std::int64_t stores = 0;
-  std::int64_t restores = 0;
-  /// Max simultaneously occupied checkpoint slots.
-  int peak_slots_in_use = 0;
-  /// Peak simultaneous activation units (occupied slots + steps with live
-  /// intermediates), minus one for the chain input (state_0), which resides
-  /// in the data buffer and is not an activation the paper counts.
-  /// Full storage over l steps replays to l; Revolve with s free slots to
-  /// s + 1 (matching the planner's analytic model).
-  int peak_memory_units = 0;
-
-  /// Recompute factor counting every executed forward at full cost
-  /// (what our executor actually pays): (advances + saves + backwards)/(2l).
-  /// Note: the *paper's* recompute factor rho — in which a Backward unit
-  /// absorbs the cost of re-materialising its own step — is an analytic
-  /// quantity; it is computed by revolve::recompute_factor() from the DP
-  /// cost model, not from IR replay.
-  [[nodiscard]] double recompute_factor_strict(std::int64_t num_steps) const {
-    return (static_cast<double>(advances) + static_cast<double>(forward_saves) +
-            static_cast<double>(backwards)) /
-           (2.0 * static_cast<double>(num_steps));
-  }
-};
-
 /// A validated-on-demand checkpointing schedule for an l-step chain.
 class Schedule {
  public:
@@ -122,14 +95,16 @@ class Schedule {
   }
   void free(std::int32_t slot) { push({ActionType::Free, 0, slot}); }
 
-  /// Counts actions, peak slot occupancy and peak activation units.
+  /// The facts of a replay under the default cost model (every slot in
+  /// RAM): action counts, peak slot occupancy and peak activation units.
   [[nodiscard]] ScheduleStats stats() const;
 
-  /// Symbolically replays the schedule. Returns std::nullopt when the
+  /// Returns std::nullopt when a bound-free replay finds no error: the
   /// schedule is a well-formed full reversal (every step backward exactly
-  /// once, in order l-1..0, intermediates live when consumed, forwards only
-  /// from the matching current state, slot bounds respected); otherwise a
-  /// human-readable diagnostic.
+  /// once, in order l-1..0, the first at the chain output, intermediates
+  /// live when consumed, forwards and stores only from the matching current
+  /// state, restores of the state the slot holds, slot bounds respected).
+  /// Otherwise the first error, as "action N: detail".
   [[nodiscard]] std::optional<std::string> validate() const;
 
   /// Multi-line human-readable dump (for debugging and docs).
@@ -147,8 +122,9 @@ std::ostream& operator<<(std::ostream& os, const Schedule& schedule);
 /// disk) for a segment [a, b): advance to state `split`, store it in a slot
 /// from free pool `pool`, solve [split, b) under `inner_budget`, then
 /// restore state a and reverse [a, split) under the segment's own budget.
-/// split == 0 selects the slot-less base: re-advance from the segment input
-/// for every step.
+/// A split at b - 1 stores nothing: the last step is reversed where the
+/// advance leaves it. split == 0 selects the slot-less base: re-advance
+/// from the segment input for every step.
 struct SplitChoice {
   std::int32_t split = 0;
   int pool = 0;
@@ -166,7 +142,7 @@ using SplitChooser = std::function<SplitChoice(bool sweep, int a, int b,
 /// input; pool k owns the next pool_sizes[k] slot ids, drawn lowest first and
 /// reused LIFO, so the schedule has 1 + sum(pool_sizes) slots. Every Backward
 /// is preceded by its re-materialising ForwardSave. Throws std::logic_error
-/// when @p choose draws from an exhausted pool.
+/// when @p choose names an exhausted pool, also for a split at b - 1.
 [[nodiscard]] Schedule emit_split_schedule(std::int32_t num_steps,
                                            const std::vector<int>& pool_sizes,
                                            int budget,

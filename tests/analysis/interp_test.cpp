@@ -56,13 +56,15 @@ TEST(InterpRevolve, CleanUnderTightBounds) {
 }
 
 TEST(InterpRevolve, PeakMemoryMatchesPlannerBound) {
-  // The s + 1 bound is tight for the binomial schedules.
+  // The s + 1 bound is tight for the binomial schedules with s < l - 1; at
+  // s = l - 1 the last state is reversed in place, never stored.
   const struct {
     int l, s;
   } cases[] = {{2, 1}, {8, 2}, {16, 3}, {32, 5}, {64, 7}};
   for (const auto& c : cases) {
     const Report report = interpret(core::revolve::make_schedule(c.l, c.s));
-    EXPECT_EQ(report.facts.peak_memory_units, c.s + 1)
+    const int exact = c.s == c.l - 1 ? c.s : c.s + 1;
+    EXPECT_EQ(report.facts.peak_memory_units, exact)
         << "l=" << c.l << " s=" << c.s;
   }
 }
@@ -198,6 +200,35 @@ TEST(InterpFindings, BackwardOrderAndLiveness) {
   const Report report = interpret(sch);
   EXPECT_TRUE(has_error(report, Check::BackwardOrder));
   EXPECT_TRUE(has_error(report, Check::BackwardLiveness));
+}
+
+TEST(InterpFindings, SeedStateAndConsumedOutput) {
+  // The first Backward seeds the loss from the current state, so it must
+  // run at the chain output; afterwards no state is held until a Restore.
+  Schedule restored(2, 1);
+  restored.store(0, 0);
+  restored.forward_save(0);
+  restored.forward_save(1);
+  restored.restore(0, 0);  // the output is no longer current
+  restored.backward(1);
+  restored.backward(0);
+  restored.free(0);
+  const Report seeded = interpret(restored);
+  EXPECT_EQ(seeded.error_count(), 1u) << seeded.summary();
+  EXPECT_TRUE(has_error(seeded, Check::SeedState));
+
+  Schedule stored(2, 2);
+  stored.store(0, 0);
+  stored.forward_save(0);
+  stored.forward_save(1);
+  stored.backward(1);
+  stored.store(2, 1);  // the loss consumed state 2
+  stored.backward(0);
+  stored.free(1);
+  stored.free(0);
+  const Report consumed = interpret(stored);
+  EXPECT_TRUE(has_error(consumed, Check::StoreState));
+  EXPECT_FALSE(has_error(consumed, Check::SeedState));
 }
 
 TEST(InterpFindings, SlotRange) {

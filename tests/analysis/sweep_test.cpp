@@ -38,6 +38,34 @@ TEST(Sweep, QuickGridsAreCleanAndCoverEveryFamily) {
   EXPECT_GT(per_family["disk"], 0);
 }
 
+TEST(Sweep, SplitFamiliesStoreOnlyWhatTheyRestore) {
+  // Every store of a split schedule is restored later, except the chain
+  // input of a one-step chain. Dead stores stay a warning because the
+  // other families keep them on purpose: sequential segmentation's
+  // last-segment store replays to the paper's M(s), and full storage's
+  // input store is the "- 1" of the peak convention.
+  const std::set<std::string> split = {"revolve", "hetero", "hetero-bytes",
+                                       "disk", "disk-overlap"};
+  std::int64_t checked = 0;
+  run_sweep(SweepConfig::quick(), [&](const SweepCase& c) {
+    if (split.count(c.family) == 0 && c.family.rfind("replan-", 0) != 0) {
+      return;
+    }
+    ++checked;
+    const Report report = interpret(c.schedule, c.cost, c.bounds);
+    for (const Finding& f : report.findings) {
+      if (f.check != Check::DeadStore) continue;
+      const core::Action& store =
+          c.schedule.actions()[static_cast<std::size_t>(f.position)];
+      EXPECT_EQ(store.slot, 0) << c.family << " [" << c.name << "] "
+                               << f.detail;
+      EXPECT_EQ(c.schedule.num_steps(), 1) << c.family << " [" << c.name
+                                           << "] " << f.detail;
+    }
+  });
+  EXPECT_GT(checked, 0);
+}
+
 TEST(Sweep, FullConfigMeetsTheThousandScheduleFloor) {
   // Count without interpreting (generation alone is cheap enough): the CI
   // gate's acceptance criterion is >= 1000 schedules per run.
@@ -133,6 +161,14 @@ TEST(Sweep, ReportJsonCarriesVerdicts) {
   EXPECT_NE(json.find("\"revolve\""), std::string::npos);
   EXPECT_NE(json.find("\"injections\""), std::string::npos);
   EXPECT_NE(json.find("\"detected\":true"), std::string::npos);
+  // Findings are also counted per family: the only revolve finding in
+  // these cases is the never-restored input of the one-step chain.
+  const FamilyStats& revolve = report.families().at("revolve");
+  EXPECT_EQ(revolve.findings_by_check,
+            (std::map<std::string, std::int64_t>{{"dead-store", 1}}));
+  EXPECT_NE(json.find("\"with_warnings\":1,\"findings_by_check\":"
+                      "{\"dead-store\":1}"),
+            std::string::npos);
 
   // A failing case lands in the failures array with its findings.
   SweepReport failing;

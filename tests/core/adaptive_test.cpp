@@ -6,6 +6,7 @@
 // only the footprint/recompute trade changes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <random>
@@ -47,6 +48,44 @@ class FakeRatioStore : public SlotStore {
 
  private:
   TieredSlotStore inner_;
+};
+
+/// Reports, for each slot, the ratio of its latest put: a slot's first
+/// put measures first_ratio, every later put measures later_ratio.
+class PutSequenceStore : public SlotStore {
+ public:
+  PutSequenceStore(int num_slots, double first_ratio, double later_ratio)
+      : inner_(num_slots),
+        ratios_(static_cast<std::size_t>(num_slots), 1.0),
+        puts_(static_cast<std::size_t>(num_slots), 0),
+        first_ratio_(first_ratio),
+        later_ratio_(later_ratio) {}
+  void put(std::int32_t slot, const Tensor& value) override {
+    inner_.put(slot, value);
+    const auto k = static_cast<std::size_t>(slot);
+    ratios_[k] = puts_[k]++ == 0 ? first_ratio_ : later_ratio_;
+  }
+  [[nodiscard]] Tensor get(std::int32_t slot) override {
+    return inner_.get(slot);
+  }
+  void drop(std::int32_t slot) override { inner_.drop(slot); }
+  [[nodiscard]] std::size_t resident_bytes() const override {
+    return inner_.resident_bytes();
+  }
+  [[nodiscard]] std::size_t external_bytes() const override { return 0; }
+  [[nodiscard]] double measured_slot_ratio(std::int32_t slot) const override {
+    return ratios_[static_cast<std::size_t>(slot)];
+  }
+  [[nodiscard]] int puts(std::int32_t slot) const {
+    return puts_[static_cast<std::size_t>(slot)];
+  }
+
+ private:
+  TieredSlotStore inner_;
+  std::vector<double> ratios_;
+  std::vector<int> puts_;
+  double first_ratio_;
+  double later_ratio_;
 };
 
 AdaptiveReplannerOptions unit_options(double capacity) {
@@ -123,6 +162,27 @@ TEST(AdaptiveReplannerTest, MeasuredDriftGrowsThePlanAtPassBoundary) {
   EXPECT_EQ(replanner.replans(), 1);
 }
 
+TEST(AdaptiveReplannerTest, ReplanPricesEachSlotAtTheWorstRatioItHeld) {
+  // The single checkpoint slot first holds a state that packs to 0.5, then
+  // states that pack to 0.25. Both were resident during the pass, so the
+  // re-plan must price the slot at 0.5 (two slots fit the one unit of
+  // room), not at the last put's 0.25 (which would buy four).
+  std::mt19937 rng(13);
+  nn::LayerChain chain = models::build_mlp(6, 8, 6, 3, rng);
+  const Tensor input = Tensor::randn(Shape{1, 6}, rng);
+  AdaptiveReplanner replanner(chain.size(), unit_options(2.0 + 1e-9));
+  ASSERT_EQ(replanner.free_slots(), 1);
+
+  PutSequenceStore store(replanner.schedule().num_slots(), 0.5, 0.25);
+  ToyPass::run(replanner, store, chain, input);
+  ASSERT_GT(store.puts(1), 1);
+  EXPECT_TRUE(replanner.finish_pass(store));
+  EXPECT_EQ(replanner.free_slots(), 2);
+  for (const double ratio : replanner.planned_ratios()) {
+    EXPECT_DOUBLE_EQ(ratio, 0.5);
+  }
+}
+
 TEST(AdaptiveReplannerTest, DriftBelowThresholdDoesNotReplan) {
   std::mt19937 rng(12);
   nn::LayerChain chain = models::build_mlp(6, 8, 6, 3, rng);
@@ -190,7 +250,12 @@ TEST(AdaptiveReplannerTest,
       run(full_storage_schedule(chain.size()), full_store, ExecutorHooks{});
 
   AdaptiveReplannerOptions options;
-  options.capacity_bytes = (1.0 + 2.0) * act_bytes + 1.0;
+  // Room for two plaintext checkpoints and half of a third: the plaintext
+  // plan affords s = 2, and three slots priced at the worst ratio each
+  // held fit when those ratios stay below 0.83. This chain's post-ReLU
+  // checkpoints measure 0.56-0.79, so three slots need ~2.3 activations:
+  // at a capacity of 3 activations no third slot fits them.
+  options.capacity_bytes = (1.0 + 2.5) * act_bytes;
   options.fixed_bytes = 0.0;
   options.activation_bytes_per_step = act_bytes;
   options.fallback_ratio = planning_bytes_ratio(SlotCodec::Bitmap);  // 1.0
@@ -213,14 +278,27 @@ TEST(AdaptiveReplannerTest,
   EXPECT_EQ(replanner.replans(), 1);
   EXPECT_GT(replanner.free_slots(), 2);  // measured ratios bought slots
 
-  // Pass 2 under the re-planned schedule: bit-identical gradients.
+  // Pass 2 under the re-planned schedule: bit-identical gradients, and
+  // the checkpoints it holds at once (the input slot included) fit the
+  // capacity the plan was bought for.
   TieredSlotStore store2(replanner.schedule().num_slots(), SlotCodec::Bitmap);
-  const std::vector<Tensor> pass2 =
-      run(replanner.schedule(), store2, replanner.hooks(store2));
+  const ExecutorHooks measure = replanner.hooks(store2);
+  std::size_t peak_resident = 0;
+  ExecutorHooks watch;
+  watch.on_action = [&](std::int64_t position, const Action& action) {
+    peak_resident = std::max(peak_resident, store2.resident_bytes());
+    measure.on_action(position, action);
+  };
+  const std::vector<Tensor> pass2 = run(replanner.schedule(), store2, watch);
   ASSERT_EQ(pass2.size(), reference.size());
   for (std::size_t g = 0; g < pass2.size(); ++g) {
     EXPECT_EQ(Tensor::max_abs_diff(pass2[g], reference[g]), 0.0F) << g;
   }
+  EXPECT_LE(static_cast<double>(peak_resident), options.capacity_bytes);
+  // Steady state: re-priced from pass 2, the plan keeps its shape.
+  const int bought = replanner.free_slots();
+  EXPECT_FALSE(replanner.finish_pass(store2));
+  EXPECT_EQ(replanner.free_slots(), bought);
 }
 
 }  // namespace

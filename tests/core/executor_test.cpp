@@ -251,6 +251,27 @@ TEST(Executor, OutputIsChainOutput) {
 
 // Failure injection: malformed schedules must surface as exceptions, never
 // as silent wrong results or undefined behaviour.
+/// Passes every call through to another runner, counting forwards.
+class CountingRunner : public ChainRunner {
+ public:
+  explicit CountingRunner(ChainRunner& inner) : inner_(inner) {}
+
+  [[nodiscard]] int num_steps() const override { return inner_.num_steps(); }
+  [[nodiscard]] Tensor forward(int step, const Tensor& input,
+                               bool save) override {
+    ++forwards;
+    return inner_.forward(step, input, save);
+  }
+  [[nodiscard]] Tensor backward(int step, const Tensor& grad_output) override {
+    return inner_.backward(step, grad_output);
+  }
+
+  int forwards = 0;
+
+ private:
+  ChainRunner& inner_;
+};
+
 class ExecutorFailureTest : public ::testing::Test {
  protected:
   ExecutorFailureTest() : rng_(91) {
@@ -258,15 +279,18 @@ class ExecutorFailureTest : public ::testing::Test {
     input_ = Tensor::randn(Shape{1, 4, 6, 6}, rng_);
   }
 
+  /// The executor must reject @p schedule before running any of it.
   void expect_throws(const Schedule& schedule) {
-    nn::LayerChainRunner runner(chain_, nn::Phase::Train);
-    runner.begin_pass();
+    nn::LayerChainRunner layers(chain_, nn::Phase::Train);
+    layers.begin_pass();
+    CountingRunner runner(layers);
     ScheduleExecutor executor;
     const LossGradFn seed = [](const Tensor& output) {
       return Tensor::full(output.shape(), 0.0F);
     };
     EXPECT_THROW((void)executor.run(runner, schedule, input_, seed),
                  std::logic_error);
+    EXPECT_EQ(runner.forwards, 0);
     chain_.clear_saved();
   }
 
@@ -290,11 +314,63 @@ TEST_F(ExecutorFailureTest, RestoreFromEmptySlot) {
   expect_throws(bad);
 }
 
+TEST_F(ExecutorFailureTest, RestoreOfWrongState) {
+  // Slot 0 holds state 0, but the schedule claims state 1 and reverses as
+  // if it were: replayed blindly, this runs to the end on the wrong state
+  // and returns a wrong gradient.
+  Schedule bad(3, 1);
+  bad.store(0, 0);
+  bad.forward(0);
+  bad.restore(1, 0);
+  bad.forward_save(1);
+  bad.forward_save(2);
+  bad.backward(2);
+  bad.backward(1);
+  bad.restore(0, 0);
+  bad.forward_save(0);
+  bad.backward(0);
+  bad.free(0);
+  expect_throws(bad);
+}
+
 TEST_F(ExecutorFailureTest, BackwardBeforeOutputExists) {
   Schedule bad(3, 1);
   bad.store(0, 0);
   bad.forward_save(0);
   bad.backward(0);  // seeding requires the chain output first
+  expect_throws(bad);
+}
+
+TEST_F(ExecutorFailureTest, RestoreBetweenOutputAndFirstBackward) {
+  // The loss must be seeded from the chain output, not from whatever
+  // state a Restore brought back after it.
+  Schedule bad(3, 1);
+  bad.store(0, 0);
+  bad.forward_save(0);
+  bad.forward_save(1);
+  bad.forward_save(2);
+  bad.restore(0, 0);
+  bad.backward(2);
+  bad.backward(1);
+  bad.backward(0);
+  bad.free(0);
+  expect_throws(bad);
+}
+
+TEST_F(ExecutorFailureTest, StoreOfConsumedOutput) {
+  // The loss consumes the chain output at the first Backward; storing it
+  // afterwards would hand the store an empty tensor.
+  Schedule bad(3, 2);
+  bad.store(0, 0);
+  bad.forward_save(0);
+  bad.forward_save(1);
+  bad.forward_save(2);
+  bad.backward(2);
+  bad.store(3, 1);
+  bad.backward(1);
+  bad.backward(0);
+  bad.free(1);
+  bad.free(0);
   expect_throws(bad);
 }
 
