@@ -432,9 +432,11 @@ int run_sparse(bool quick) {
     row.rho_bitmap_plan = crossing_rho(core::MemoryPlanner(
         linear.to_chain_spec(core::planning_bytes_ratio(
             core::SlotCodec::Bitmap))));
-    core::ChainSpec spec = linear.to_chain_spec(measured);
-    spec.checkpoint_slot_ratios.assign(
-        static_cast<std::size_t>(linear.depth - 1), measured);
+    core::ChainSpec spec = linear.to_chain_spec();
+    spec.pricing = core::SlotPricing(
+        std::vector<double>(static_cast<std::size_t>(linear.depth - 1),
+                            measured),
+        measured);
     row.rho_bitmap_meas = crossing_rho(core::MemoryPlanner(spec));
     if (!(row.rho_bitmap_meas < row.rho_fp16)) measured_beats_fp16 = false;
     std::printf("%-16s %-10.4f %-12.3f %-14.3f %-14.3f\n", row.model.c_str(),

@@ -64,7 +64,7 @@ std::int64_t sweep_revolve(const SweepConfig& config,
     // Codec-weighted accounting at the fp16 planning ratio: Revolve holds
     // at most one live save, so the planner's 1 + ratio * s peak is a
     // sound (and tight) bound for compressed resting checkpoints.
-    c.cost.slot_bytes_ratio = 0.5;
+    c.cost.pricing = core::SlotPricing(0.5);
     c.bounds.max_weighted_units = 1.0 + 0.5 * static_cast<double>(s);
     c.schedule = core::revolve::make_schedule(table, l, s);
     visit(c);
@@ -241,7 +241,7 @@ std::int64_t sweep_disk(const SweepConfig& config, const CaseVisitor& visit) {
           c.bounds.max_ram_slots = rs + 1;
           // Two-level Revolve also keeps a single live save; RAM-resting
           // checkpoints compressed at the fp16 ratio obey 1 + ratio * rs.
-          c.cost.slot_bytes_ratio = 0.5;
+          c.cost.pricing = core::SlotPricing(0.5);
           c.bounds.max_weighted_units = 1.0 + 0.5 * static_cast<double>(rs);
           c.bounds.max_total_cost = solver.forward_cost() + l;
           c.schedule = solver.make_schedule();
@@ -284,7 +284,7 @@ std::int64_t sweep_disk(const SweepConfig& config, const CaseVisitor& visit) {
           oc.bounds.max_ram_slots = ov_rs + 1;
           // Staged write-behind blobs are encoded too (the async store
           // compresses at put), so staging joins the weighted term.
-          oc.cost.slot_bytes_ratio = 0.5;
+          oc.cost.pricing = core::SlotPricing(0.5);
           oc.bounds.max_weighted_units =
               1.0 + 0.5 * static_cast<double>(ov_rs +
                                               oc.cost.write_staging_slots);
@@ -329,23 +329,17 @@ std::int64_t sweep_replan(const SweepConfig& config,
         prefix += measured[static_cast<std::size_t>(k)];
       }
       const double capacity = 1.0 + prefix + 1e-9;
-      const int s = core::revolve::max_free_slots_for_bytes(
-          capacity, 0.0, 1.0, measured, 1.0);
+      const core::SlotPricing pricing(measured, 1.0);
+      const int s = pricing.max_free_slots(capacity, 0.0, 1.0);
       SweepCase c;
       c.family = "replan-revolve";
       c.name = case_name("replan-revolve",
                          {{"l", static_cast<double>(l)},
                           {"s", static_cast<double>(s)}});
-      c.cost.slot_bytes_ratios.assign(static_cast<std::size_t>(s) + 1, 1.0);
-      double bound = 1.0;
-      for (int slot = 1; slot <= s; ++slot) {
-        const double ratio = measured[static_cast<std::size_t>(slot - 1)];
-        c.cost.slot_bytes_ratios[static_cast<std::size_t>(slot)] = ratio;
-        bound += ratio;
-      }
+      c.cost.pricing = pricing;
       c.bounds.max_memory_units = s + 1;
       c.bounds.max_ram_slots = s + 1;
-      c.bounds.max_weighted_units = bound;
+      c.bounds.max_weighted_units = 1.0 + pricing.units(s);
       c.schedule = core::revolve::make_schedule(l, s);
       visit(c);
       ++count;
@@ -358,13 +352,13 @@ std::int64_t sweep_replan(const SweepConfig& config,
         options.write_cost = 2.0;
         options.read_cost = 2.0;
         options.overlap_io = overlap;
-        // Measured spill ratios of the disk slots a previous pass filled:
-        // the DP prices IO at their mean; the interpreter still charges
-        // each slot its own ratio.
-        options.spill_slot_ratios = {0.2, 0.5, 0.35};
+        // Measured spill ratios {0.2, 0.5, 0.35} of the disk slots a
+        // previous pass filled: the DP prices IO at their mean; the
+        // interpreter charges each disk slot the worst of them.
+        options.spill_bytes_ratio = (0.2 + 0.5 + 0.35) / 3.0;
         const core::disk::DiskRevolveSolver solver(l, options);
         const int rs = solver.options().ram_slots;
-        const double disk_ratio = 0.5;  // >= every spill_slot_ratios entry
+        const double disk_ratio = 0.5;  // >= every measured spill ratio
         SweepCase c;
         c.family = overlap ? "replan-disk-overlap" : "replan-disk";
         c.name = case_name(c.family.c_str(),
@@ -374,15 +368,14 @@ std::int64_t sweep_replan(const SweepConfig& config,
         c.cost.disk_write_cost = options.write_cost;
         c.cost.disk_read_cost = options.read_cost;
         c.schedule = solver.make_schedule();
-        c.cost.slot_bytes_ratios.assign(
-            static_cast<std::size_t>(c.schedule.num_slots()), disk_ratio);
-        c.cost.slot_bytes_ratios[0] = 1.0;
-        double ram_sum = 0.0;
-        for (int slot = 1; slot <= rs; ++slot) {
-          const double ratio = pseudo_measured_ratio(slot - 1);
-          c.cost.slot_bytes_ratios[static_cast<std::size_t>(slot)] = ratio;
-          ram_sum += ratio;
+        // RAM slots 1..rs at their measured ratios, disk slots past them
+        // at disk_ratio.
+        std::vector<double> ram_ratios(static_cast<std::size_t>(rs));
+        for (int k = 0; k < rs; ++k) {
+          ram_ratios[static_cast<std::size_t>(k)] = pseudo_measured_ratio(k);
         }
+        c.cost.pricing = core::SlotPricing(std::move(ram_ratios), disk_ratio);
+        const double ram_sum = c.cost.pricing.units(rs);
         c.bounds.max_ram_slots = rs + 1;
         if (overlap) {
           c.cost.overlapped_io = true;

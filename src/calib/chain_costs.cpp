@@ -1,13 +1,14 @@
 #include "calib/chain_costs.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <numeric>
 #include <random>
 #include <stdexcept>
 
-#include "calib/calibrate.hpp"
 #include "tensor/tensor.hpp"
 
 namespace edgetrain::calib {
@@ -98,27 +99,63 @@ ChainCosts measure_chain(nn::LayerChain& chain, const Tensor& input,
     acts.push_back(chain.layer(i).forward(acts.back(), ctx));
   }
 
+  // Two timed samples per step: the forward alone, and a forward+backward
+  // pair (backward() consumes the saved internals, so each backward must
+  // follow a fresh saving forward; the forward share is subtracted below).
+  struct Sample {
+    std::function<void()> run;
+    std::int64_t iters = 1;
+    double best = 0.0;  ///< minimum seconds per iteration so far
+  };
   std::mt19937 rng(17);
+  std::vector<Tensor> grad_outs;
+  grad_outs.reserve(static_cast<std::size_t>(l));
+  std::vector<Sample> samples;
+  samples.reserve(2 * static_cast<std::size_t>(l));
   for (int i = 0; i < l; ++i) {
     nn::Layer& layer = chain.layer(i);
     const Tensor& x = acts[static_cast<std::size_t>(i)];
-    Tensor grad_out = Tensor::randn(shapes[static_cast<std::size_t>(i) + 1],
-                                    rng);
-
-    const double fwd_secs = time_per_iteration_seconds(
-        options.min_sample_seconds, options.repeats, [&] {
-          Tensor y = layer.forward(x, ctx);
-          if (y.data() == nullptr) std::abort();
-        });
-    // backward() consumes the saved internals, so each backward sample must
-    // be preceded by a fresh saving forward; the pair is timed together and
-    // the forward share subtracted.
-    const double pair_secs = time_per_iteration_seconds(
-        options.min_sample_seconds, options.repeats, [&] {
-          Tensor y = layer.forward(x, ctx);
-          Tensor gx = layer.backward(grad_out);
-          if (y.data() == nullptr || gx.data() == nullptr) std::abort();
-        });
+    grad_outs.push_back(
+        Tensor::randn(shapes[static_cast<std::size_t>(i) + 1], rng));
+    samples.push_back({[&layer, &x, &ctx] {
+      Tensor y = layer.forward(x, ctx);
+      if (y.data() == nullptr) std::abort();
+    }});
+    samples.push_back({[&layer, &x, &ctx, &grad_outs, i] {
+      Tensor y = layer.forward(x, ctx);
+      Tensor gx = layer.backward(grad_outs[static_cast<std::size_t>(i)]);
+      if (y.data() == nullptr || gx.data() == nullptr) std::abort();
+    }});
+  }
+  const auto time_once = [](const Sample& sample) {
+    const auto start = std::chrono::steady_clock::now();
+    for (std::int64_t k = 0; k < sample.iters; ++k) sample.run();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  // Grow each sample's iteration count until one sample lasts
+  // min_sample_seconds; that sample is the first reading.
+  for (Sample& sample : samples) {
+    double secs = time_once(sample);
+    while (secs < options.min_sample_seconds && sample.iters < (1LL << 30)) {
+      sample.iters *= 2;
+      secs = time_once(sample);
+    }
+    sample.best = secs / static_cast<double>(sample.iters);
+  }
+  // Then every round times every sample once and each keeps its minimum. A
+  // load burst thus slows one round of many steps instead of all readings
+  // of one step, so it cannot skew a single step against the others.
+  for (int round = 0; round < options.repeats; ++round) {
+    for (Sample& sample : samples) {
+      sample.best = std::min(
+          sample.best, time_once(sample) / static_cast<double>(sample.iters));
+    }
+  }
+  for (int i = 0; i < l; ++i) {
+    const double fwd_secs = samples[2 * static_cast<std::size_t>(i)].best;
+    const double pair_secs = samples[2 * static_cast<std::size_t>(i) + 1].best;
     costs.forward_us[static_cast<std::size_t>(i)] = fwd_secs * 1e6;
     // Clamp: on a noisy machine the pair sample can come in under the
     // forward sample; a zero/negative backward would poison the DP.
@@ -200,7 +237,7 @@ int budget_units_for_bytes(const ChainCosts& costs, double budget_bytes) {
 
 core::ChainSpec measured_chain_spec(std::string name, const ChainCosts& costs,
                                     double fixed_bytes,
-                                    double checkpoint_bytes_ratio) {
+                                    core::SlotPricing pricing) {
   if (!costs.valid()) {
     throw std::invalid_argument("measured_chain_spec: invalid ChainCosts");
   }
@@ -214,7 +251,7 @@ core::ChainSpec measured_chain_spec(std::string name, const ChainCosts& costs,
   spec.activation_bytes_per_step =
       costs.boundary_bytes.empty() ? costs.output_bytes
                                    : costs.mean_boundary_bytes();
-  spec.checkpoint_bytes_ratio = checkpoint_bytes_ratio;
+  spec.pricing = std::move(pricing);
   spec.step_costs = costs.forward_us;
   spec.backward_ratio = costs.backward_ratio();
   return spec;
@@ -231,19 +268,10 @@ std::vector<double> measured_slot_ratios(const core::SlotStore& store,
   return ratios;
 }
 
-core::ChainSpec measured_chain_spec(std::string name, const ChainCosts& costs,
-                                    double fixed_bytes,
-                                    std::vector<double> checkpoint_slot_ratios,
-                                    double fallback_ratio) {
-  core::ChainSpec spec = measured_chain_spec(std::move(name), costs,
-                                             fixed_bytes, fallback_ratio);
-  spec.checkpoint_slot_ratios = std::move(checkpoint_slot_ratios);
-  return spec;
-}
-
 core::disk::DiskRevolveOptions priced_disk_options(
     const ChainCosts& costs, const DeviceModel& model,
-    core::disk::DiskRevolveOptions base) {
+    core::disk::DiskRevolveOptions base,
+    const std::vector<double>& spill_ratios) {
   const double fwd_us = costs.mean_forward_us();
   if (!(fwd_us > 0.0)) {
     throw std::invalid_argument("priced_disk_options: no forward costs");
@@ -256,20 +284,17 @@ core::disk::DiskRevolveOptions priced_disk_options(
   // spill times of this chain's mean boundary on this device.
   base.write_cost = model.disk_write_us(bytes) / fwd_us;
   base.read_cost = model.disk_read_us(bytes) / fwd_us;
+  if (!spill_ratios.empty()) {
+    base.spill_bytes_ratio =
+        std::accumulate(spill_ratios.begin(), spill_ratios.end(), 0.0) /
+        static_cast<double>(spill_ratios.size());
+  }
   return base;
 }
 
-core::disk::DiskRevolveOptions priced_disk_options(
-    const ChainCosts& costs, const DeviceModel& model,
-    core::disk::DiskRevolveOptions base,
-    std::vector<double> spill_slot_ratios) {
-  base.spill_slot_ratios = std::move(spill_slot_ratios);
-  return priced_disk_options(costs, model, std::move(base));
-}
-
-core::CostModel cost_model(const ChainCosts& costs,
-                               const DeviceModel& model,
-                               std::int32_t first_disk_slot) {
+core::CostModel cost_model(const ChainCosts& costs, const DeviceModel& model,
+                           std::int32_t first_disk_slot,
+                           core::SlotPricing pricing) {
   core::CostModel cm;
   cm.step_costs = costs.forward_us;
   cm.first_disk_slot = first_disk_slot;
@@ -278,15 +303,7 @@ core::CostModel cost_model(const ChainCosts& costs,
                            : costs.output_bytes;
   cm.disk_write_cost = model.disk_write_us(bytes);
   cm.disk_read_cost = model.disk_read_us(bytes);
-  return cm;
-}
-
-core::CostModel cost_model(const ChainCosts& costs,
-                               const DeviceModel& model,
-                               std::int32_t first_disk_slot,
-                               std::vector<double> slot_bytes_ratios) {
-  core::CostModel cm = cost_model(costs, model, first_disk_slot);
-  cm.slot_bytes_ratios = std::move(slot_bytes_ratios);
+  cm.pricing = std::move(pricing);
   return cm;
 }
 

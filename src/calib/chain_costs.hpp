@@ -16,10 +16,12 @@
 //     one),
 //
 // and the feeder helpers translate a ChainCosts into every planner's
-// native inputs: HeteroSolver cost-and-unit vectors,
-// DiskRevolveOptions whose IO weights come from the measured SD bandwidth,
-// a measured ChainSpec for MemoryPlanner, and an core::CostModel whose
-// lint bounds are stated in calibrated microseconds.
+// native inputs: HeteroSolver cost-and-unit vectors, DiskRevolveOptions
+// whose IO weights come from the measured SD bandwidth, a measured
+// ChainSpec for MemoryPlanner, and a core::CostModel whose lint bounds are
+// stated in calibrated microseconds. One feeder per input: the ChainSpec
+// and the CostModel take the checkpoint slots' core::SlotPricing as a
+// defaulted parameter, the disk options the measured spill ratios.
 #pragma once
 
 #include <cstdint>
@@ -70,9 +72,10 @@ struct ChainCosts {
 
 struct MeasureOptions {
   /// Per-step samples are grown (iterations doubled) until one lasts at
-  /// least this long, then the minimum over repeats is kept -- the same
-  /// protocol as calib::time_per_iteration_seconds.
+  /// least this long.
   double min_sample_seconds = 0.005;
+  /// Rounds after that sizing pass: each round times every step once, and
+  /// each step keeps its minimum over the sizing sample and all rounds.
   int repeats = 3;
 };
 
@@ -111,64 +114,48 @@ struct MeasureOptions {
 
 /// MemoryPlanner chain description carrying the measured per-step costs:
 /// plan selection and achieved_rho are then computed by the heterogeneous
-/// DP in calibrated microseconds instead of unit Revolve counts.
+/// DP in calibrated microseconds instead of unit Revolve counts. @p pricing
+/// prices the resting checkpoints: a codec's planning ratio, or measured
+/// per-slot ratios (e.g. measured_slot_ratios(store, 1, s) of the previous
+/// pass), which is what lets a data-dependent codec (SlotCodec::Bitmap)
+/// buy more slots than its worst-case planning ratio promises.
 [[nodiscard]] core::ChainSpec measured_chain_spec(
     std::string name, const ChainCosts& costs, double fixed_bytes,
-    double checkpoint_bytes_ratio = 1.0);
+    core::SlotPricing pricing = core::SlotPricing());
 
 /// Samples SlotStore::measured_slot_ratio for slots [first_slot,
-/// first_slot + count) in slot order -- the per-slot ratio vector the
-/// planners, interpreter, and DiskRevolveOptions accept. Ratios are
-/// clamped into (0, 1] (a blob a data-dependent codec could not shrink
-/// reports slightly above 1 because of its mode byte; the planners price
-/// it as plaintext).
+/// first_slot + count) in slot order. Ratios are clamped into (0, 1] (a
+/// blob a data-dependent codec could not shrink reports slightly above 1
+/// because of its mode byte; the planners price it as plaintext). With
+/// first_slot = 1 the vector is the measured part of a core::SlotPricing
+/// (entry k = slot k + 1), which the ChainSpec and the CostModel share.
 [[nodiscard]] std::vector<double> measured_slot_ratios(
     const core::SlotStore& store, std::int32_t first_slot,
     std::int32_t count);
 
-/// measured_chain_spec with measured per-slot checkpoint ratios (e.g. the
-/// measured_slot_ratios of the previous pass's store, slots 1..s): the
-/// planner then prices checkpoint slot k at entry k's MEASURED ratio
-/// instead of the single static checkpoint_bytes_ratio, which is what lets
-/// a data-dependent codec (SlotCodec::Bitmap) buy more slots than its
-/// worst-case planning ratio promises. @p fallback_ratio prices slots past
-/// the vector's end.
-[[nodiscard]] core::ChainSpec measured_chain_spec(
-    std::string name, const ChainCosts& costs, double fixed_bytes,
-    std::vector<double> checkpoint_slot_ratios, double fallback_ratio);
-
 /// Disk-revolve options whose write/read weights are the measured spill
-/// time of this chain's mean boundary (scaled by @p base.spill_bytes_ratio)
-/// divided by the measured mean forward step -- the DP's "forward-step
-/// units", finally tied to the device's actual SD bandwidth.
-[[nodiscard]] core::disk::DiskRevolveOptions priced_disk_options(
-    const ChainCosts& costs, const DeviceModel& model,
-    core::disk::DiskRevolveOptions base);
-
-/// priced_disk_options additionally threading measured per-spill ratios
-/// (e.g. measured_slot_ratios of the disk slots a previous pass filled)
-/// into base.spill_slot_ratios: the DP then prices IO at the measured mean
-/// achieved ratio instead of the static spill_bytes_ratio -- the feeder
-/// that fixes the static-ratio blind spot for data-dependent codecs.
+/// time of this chain's mean boundary divided by the measured mean forward
+/// step -- the DP's "forward-step units", tied to the device's actual SD
+/// bandwidth. The DP scales them by base.spill_bytes_ratio itself. When
+/// @p spill_ratios is non-empty (e.g. measured_slot_ratios of the disk
+/// slots a previous pass filled), spill_bytes_ratio becomes their mean, so
+/// the DP prices IO at the measured achieved ratio instead of the static
+/// one.
 [[nodiscard]] core::disk::DiskRevolveOptions priced_disk_options(
     const ChainCosts& costs, const DeviceModel& model,
     core::disk::DiskRevolveOptions base,
-    std::vector<double> spill_slot_ratios);
+    const std::vector<double>& spill_ratios = {});
 
 /// Interpreter cost model in calibrated microseconds: per-step forward
 /// weights from the measurement, disk IO weights from the measured spill
 /// path. total_cost() of a clean interpretation is then the predicted
 /// wall-clock (microseconds) of replaying the schedule on this device.
-[[nodiscard]] core::CostModel cost_model(
-    const ChainCosts& costs, const DeviceModel& model,
-    std::int32_t first_disk_slot = std::numeric_limits<std::int32_t>::max());
-
-/// cost_model with measured per-slot resting ratios (keyed by slot id)
-/// threaded into the interpreter's per-slot weighted peak accounting, so
+/// @p pricing feeds the interpreter's weighted peak accounting, so
 /// schedule_lint re-checks a re-planned schedule against the ratios it was
-/// actually solved with.
+/// solved with.
 [[nodiscard]] core::CostModel cost_model(
     const ChainCosts& costs, const DeviceModel& model,
-    std::int32_t first_disk_slot, std::vector<double> slot_bytes_ratios);
+    std::int32_t first_disk_slot = std::numeric_limits<std::int32_t>::max(),
+    core::SlotPricing pricing = core::SlotPricing());
 
 }  // namespace edgetrain::calib

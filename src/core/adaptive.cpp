@@ -10,32 +10,29 @@ namespace edgetrain::core {
 
 AdaptiveReplanner::AdaptiveReplanner(int num_steps,
                                      const AdaptiveReplannerOptions& options)
-    : num_steps_(num_steps), options_(options) {
+    : num_steps_(num_steps),
+      options_(options),
+      planned_(options.fallback_ratio) {
   if (num_steps < 1) {
     throw std::invalid_argument("AdaptiveReplanner: num_steps < 1");
-  }
-  if (options_.fallback_ratio <= 0.0 || options_.fallback_ratio > 1.0) {
-    throw std::invalid_argument(
-        "AdaptiveReplanner: fallback_ratio must be in (0, 1]");
   }
   if (!(options_.drift_threshold > 0.0)) {
     throw std::invalid_argument(
         "AdaptiveReplanner: drift_threshold must be > 0");
   }
-  const int s = revolve::max_free_slots_for_bytes(
-      options_.capacity_bytes, options_.fixed_bytes,
-      options_.activation_bytes_per_step, options_.fallback_ratio);
+  const int s = planned_.max_free_slots(options_.capacity_bytes,
+                                        options_.fixed_bytes,
+                                        options_.activation_bytes_per_step);
   if (s < 0) {
     throw std::invalid_argument(
         "AdaptiveReplanner: capacity cannot fit even the slot-less plan");
   }
-  rebuild(std::min(s, num_steps_ - 1));
-}
-
-double AdaptiveReplanner::planned_ratio(std::int32_t slot) const {
-  const auto k = static_cast<std::size_t>(slot - 1);
-  return k < planned_ratios_.size() ? planned_ratios_[k]
-                                    : options_.fallback_ratio;
+  const int free_slots = std::min(s, num_steps_ - 1);
+  planned_ = SlotPricing(
+      std::vector<double>(static_cast<std::size_t>(free_slots),
+                          options_.fallback_ratio),
+      options_.fallback_ratio);
+  rebuild(free_slots);
 }
 
 void AdaptiveReplanner::observe_put(const SlotStore& store) {
@@ -45,7 +42,7 @@ void AdaptiveReplanner::observe_put(const SlotStore& store) {
   const double measured = store.measured_slot_ratio(slot);
   double& worst = worst_ratios_[static_cast<std::size_t>(slot)];
   worst = std::max(worst, measured);
-  const double planned = planned_ratio(slot);
+  const double planned = planned_.slot_ratio(slot);
   if (std::abs(measured - planned) / planned > options_.drift_threshold) {
     drift_latched_ = true;
   }
@@ -76,7 +73,7 @@ bool AdaptiveReplanner::finish_pass(const SlotStore& store) {
     const auto slot = static_cast<std::int32_t>(k + 1);
     const double worst = worst_ratios_[static_cast<std::size_t>(slot)];
     measured[static_cast<std::size_t>(k)] =
-        worst > 0.0 ? std::clamp(worst, 1e-6, 1.0) : planned_ratio(slot);
+        worst > 0.0 ? std::clamp(worst, 1e-6, 1.0) : planned_.slot_ratio(slot);
   }
   std::fill(worst_ratios_.begin(), worst_ratios_.end(), 0.0);
   if (!armed) return false;
@@ -90,13 +87,14 @@ bool AdaptiveReplanner::finish_pass(const SlotStore& store) {
       measured.empty()
           ? options_.fallback_ratio
           : *std::max_element(measured.begin(), measured.end());
-  const int s = revolve::max_free_slots_for_bytes(
-      options_.capacity_bytes, options_.fixed_bytes,
-      options_.activation_bytes_per_step, measured, fill);
+  const int s = SlotPricing(measured, fill)
+                    .max_free_slots(options_.capacity_bytes,
+                                    options_.fixed_bytes,
+                                    options_.activation_bytes_per_step);
   if (s < 0) return false;  // nothing fits; keep the plan we have
   const int clamped = std::min(s, num_steps_ - 1);
-  planned_ratios_ = std::move(measured);
-  planned_ratios_.resize(static_cast<std::size_t>(clamped), fill);
+  measured.resize(static_cast<std::size_t>(clamped), fill);
+  planned_ = SlotPricing(std::move(measured), options_.fallback_ratio);
   if (clamped == free_slots_) return false;  // same shape, just re-priced
   rebuild(clamped);
   ++replans_;
@@ -106,8 +104,6 @@ bool AdaptiveReplanner::finish_pass(const SlotStore& store) {
 void AdaptiveReplanner::rebuild(int free_slots) {
   free_slots_ = free_slots;
   schedule_ = revolve::make_schedule(num_steps_, free_slots_);
-  planned_ratios_.resize(static_cast<std::size_t>(free_slots_),
-                         options_.fallback_ratio);
   worst_ratios_.assign(static_cast<std::size_t>(schedule_.num_slots()), 0.0);
 }
 

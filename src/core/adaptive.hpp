@@ -13,9 +13,9 @@
 //      put drifts more than options.drift_threshold (relative) from the
 //      ratio the current plan priced its slot at;
 //   2. at the pass boundary, finish_pass() prices each slot at the worst
-//      ratio it held and -- only if the latch is set -- re-solves
-//      revolve::max_free_slots_for_bytes with that vector and rebuilds the
-//      schedule. The new plan takes effect at the NEXT pass; the pass that
+//      ratio it held and -- only if the latch is set -- re-solves the slot
+//      count with SlotPricing::max_free_slots over that vector and rebuilds
+//      the schedule. The new plan takes effect at the NEXT pass; the pass that
 //      measured the drift ran to completion under the old plan.
 //
 // Gradients are bit-identical across re-plans: every Revolve schedule is
@@ -30,6 +30,7 @@
 
 #include "core/executor.hpp"
 #include "core/schedule.hpp"
+#include "core/slot_pricing.hpp"
 #include "core/slot_store.hpp"
 
 namespace edgetrain::core {
@@ -73,9 +74,10 @@ class AdaptiveReplanner {
   /// Free checkpoint slots of the current plan (schedule slot ids 1..s).
   [[nodiscard]] int free_slots() const noexcept { return free_slots_; }
 
-  /// Ratio the current plan prices checkpoint slot k+1 at (entry k).
-  [[nodiscard]] const std::vector<double>& planned_ratios() const noexcept {
-    return planned_ratios_;
+  /// How the current plan prices its checkpoint slots: one measured entry
+  /// per free slot (entry k = slot k + 1), options.fallback_ratio past them.
+  [[nodiscard]] const SlotPricing& pricing() const noexcept {
+    return planned_;
   }
 
   /// Number of times finish_pass() rebuilt the schedule.
@@ -99,7 +101,6 @@ class AdaptiveReplanner {
   bool finish_pass(const SlotStore& store);
 
  private:
-  [[nodiscard]] double planned_ratio(std::int32_t slot) const;
   void observe_put(const SlotStore& store);
   void rebuild(int free_slots);
 
@@ -107,7 +108,7 @@ class AdaptiveReplanner {
   AdaptiveReplannerOptions options_;
   int free_slots_ = 0;
   Schedule schedule_;
-  std::vector<double> planned_ratios_;  ///< entry k = checkpoint slot k+1
+  SlotPricing planned_;
   std::vector<double> worst_ratios_;  ///< per slot, this pass; 0 = unfilled
   std::int32_t pending_slot_ = 0;     ///< last Store's slot, not yet read
   bool drift_latched_ = false;

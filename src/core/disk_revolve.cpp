@@ -4,6 +4,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/slot_pricing.hpp"
+
 namespace edgetrain::core::disk {
 
 DiskRevolveSolver::DiskRevolveSolver(int num_steps,
@@ -16,23 +18,8 @@ DiskRevolveSolver::DiskRevolveSolver(int num_steps,
   if (options_.write_cost < 0.0 || options_.read_cost < 0.0) {
     throw std::invalid_argument("DiskRevolve: negative IO cost");
   }
-  if (options_.spill_bytes_ratio <= 0.0 || options_.spill_bytes_ratio > 1.0) {
-    throw std::invalid_argument(
-        "DiskRevolve: spill_bytes_ratio must be in (0, 1]");
-  }
-  double spill_ratio = options_.spill_bytes_ratio;
-  if (!options_.spill_slot_ratios.empty()) {
-    double sum = 0.0;
-    for (const double ratio : options_.spill_slot_ratios) {
-      if (ratio <= 0.0 || ratio > 1.0) {
-        throw std::invalid_argument(
-            "DiskRevolve: spill_slot_ratios must be in (0, 1]");
-      }
-      sum += ratio;
-    }
-    spill_ratio =
-        sum / static_cast<double>(options_.spill_slot_ratios.size());
-  }
+  // The spill ratio obeys the slot-pricing domain (0, 1].
+  const double spill_ratio = SlotPricing(options_.spill_bytes_ratio).fill();
   options_.ram_slots = std::min(options_.ram_slots, std::max(num_steps - 1, 0));
 
   const std::size_t size = static_cast<std::size_t>(num_steps + 1) *

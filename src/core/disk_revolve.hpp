@@ -35,17 +35,12 @@ struct DiskRevolveOptions {
   /// (core::planning_bytes_ratio). Disk IO time is bytes moved / bandwidth,
   /// so the DP prices each write/read at cost * ratio: a 0.5 codec halves
   /// the IO penalty, shifting the optimal splits toward more disk
-  /// checkpoints at the same write_cost calibration.
+  /// checkpoints at the same write_cost calibration. With measured spill
+  /// ratios, pass their mean (calib::priced_disk_options does): the DP's
+  /// state space does not track which disk ordinal a checkpoint lands in,
+  /// and the replay's per-slot WeightedMemoryBound enforces each slot's
+  /// own ratio downstream.
   double spill_bytes_ratio = 1.0;
-  /// Measured per-checkpoint spill ratios (each in (0, 1]), e.g. the
-  /// SlotStore::measured_slot_ratio values of the disk slots a previous
-  /// pass filled. The DP's state space does not track which disk ordinal
-  /// a checkpoint lands in, so when this is non-empty every spill is
-  /// priced at the vector's MEAN ratio instead of spill_bytes_ratio -- an
-  /// aggregate that keeps the solve exact in expectation; the per-slot
-  /// byte bound of the resulting schedule is enforced exactly downstream
-  /// by the analysis:: interpreter's per-slot WeightedMemoryBound.
-  std::vector<double> spill_slot_ratios;
   bool allow_disk = true;   ///< disable to recover single-level Revolve
   /// Price disk IO as overlapped with recompute instead of serial, matching
   /// TieredSlotStore: a write is hidden under the advance it trails

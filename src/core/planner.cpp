@@ -12,17 +12,6 @@ MemoryPlanner::MemoryPlanner(ChainSpec spec) : spec_(std::move(spec)) {
   if (spec_.activation_bytes_per_step <= 0.0) {
     throw std::invalid_argument("MemoryPlanner: activation size must be > 0");
   }
-  if (spec_.checkpoint_bytes_ratio <= 0.0 ||
-      spec_.checkpoint_bytes_ratio > 1.0) {
-    throw std::invalid_argument(
-        "MemoryPlanner: checkpoint_bytes_ratio must be in (0, 1]");
-  }
-  for (const double ratio : spec_.checkpoint_slot_ratios) {
-    if (ratio <= 0.0 || ratio > 1.0) {
-      throw std::invalid_argument(
-          "MemoryPlanner: checkpoint_slot_ratios must be in (0, 1]");
-    }
-  }
   if (spec_.step_costs.empty()) {
     table_ = std::make_unique<revolve::RevolveTable>(
         spec_.depth, std::max(spec_.depth - 1, 0));
@@ -45,25 +34,11 @@ MemoryPlanner::MemoryPlanner(ChainSpec spec) : spec_(std::move(spec)) {
       spec_.step_costs, std::max(spec_.depth - 1, 0));
 }
 
-double MemoryPlanner::weighted_slot_units(int free_slots) const noexcept {
-  const auto& measured = spec_.checkpoint_slot_ratios;
-  if (measured.empty()) {
-    return static_cast<double>(free_slots) * spec_.checkpoint_bytes_ratio;
-  }
-  double units = 0.0;
-  for (int k = 0; k < free_slots; ++k) {
-    units += k < static_cast<int>(measured.size())
-                 ? measured[static_cast<std::size_t>(k)]
-                 : spec_.checkpoint_bytes_ratio;
-  }
-  return units;
-}
-
 double MemoryPlanner::no_checkpoint_bytes() const noexcept {
   // All depth activations stored: the frontier in plaintext, the other
   // depth - 1 resting at the codec ratio (which is 1 when uncompressed).
   return spec_.fixed_bytes +
-         (1.0 + weighted_slot_units(spec_.depth - 1)) *
+         (1.0 + spec_.pricing.units(spec_.depth - 1)) *
              spec_.activation_bytes_per_step;
 }
 
@@ -88,7 +63,7 @@ PlanPoint MemoryPlanner::point_for_slots(int free_slots) const {
         (2.0 * static_cast<double>(spec_.depth));
   }
   point.peak_bytes = spec_.fixed_bytes +
-                     (1.0 + weighted_slot_units(free_slots)) *
+                     (1.0 + spec_.pricing.units(free_slots)) *
                          spec_.activation_bytes_per_step;
   return point;
 }
@@ -129,31 +104,14 @@ PlanReport MemoryPlanner::report_for_device(double capacity_bytes) const {
     report.min_rho_to_fit = std::numeric_limits<double>::infinity();
     return report;
   }
-  // Largest slot count that fits determines the smallest achievable rho:
-  // fixed + (1 + s * ratio) * act <= capacity solved for the free slots s.
-  // At ratio = 1 this reduces to the paper's floor((cap - fixed) / act) - 1
-  // exactly; at ratio < 1 the same budget buys proportionally more slots.
-  int total_slots = 1;
-  if (spec_.checkpoint_slot_ratios.empty()) {
-    const double budget_free_slots =
-        (capacity_bytes - spec_.fixed_bytes -
-         spec_.activation_bytes_per_step) /
-        (spec_.activation_bytes_per_step * spec_.checkpoint_bytes_ratio);
-    total_slots = std::clamp(
-        static_cast<int>(budget_free_slots) + 1, 1, spec_.depth);
-  } else {
-    // Per-slot ratios: the weighted prefix sum is monotone in s (every
-    // ratio is positive), so walk up to the largest s that still fits.
-    int s = 0;
-    while (s + 1 <= spec_.depth - 1 &&
-           spec_.fixed_bytes + (1.0 + weighted_slot_units(s + 1)) *
-                                   spec_.activation_bytes_per_step <=
-               capacity_bytes) {
-      ++s;
-    }
-    total_slots = s + 1;
-  }
-  report.recommended = point_for_slots(total_slots - 1);
+  // The largest slot count that fits determines the smallest achievable
+  // rho. Under plaintext pricing this is the paper's
+  // floor((cap - fixed) / act) - 1 exactly; cheaper slots buy more.
+  const int free_slots = std::clamp(
+      spec_.pricing.max_free_slots(capacity_bytes, spec_.fixed_bytes,
+                                   spec_.activation_bytes_per_step),
+      0, spec_.depth - 1);
+  report.recommended = point_for_slots(free_slots);
   report.recommended.rho_budget = report.recommended.achieved_rho;
   report.min_rho_to_fit = report.recommended.achieved_rho;
   return report;

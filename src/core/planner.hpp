@@ -1,15 +1,17 @@
 // edgetrain: the Section VI memory planner.
 //
 // Combines the Revolve cost tables with the paper's linearised memory model
-//   peak(s) = fixed_bytes + (1 + s * ratio) * activation_bytes_per_step
+//   peak(s) = fixed_bytes + (1 + units(s)) * activation_bytes_per_step
 // (s free checkpoint slots plus the live frontier activation; the chain
 // input is excluded, as in the paper's tables) and the recompute factor
 //   rho(s) = (F(l, s) + l) / (2 l).
-// `ratio` is the slot-codec compression factor (core/slot_codec.hpp): the
+// units(s) comes from the chain's SlotPricing (core/slot_pricing.hpp): the
 // frontier activation is always held in plaintext, but the s checkpoints
-// rest encoded, so a 0.5 fp16 codec buys ~2x the slots per byte budget and
-// the planner provably selects a lower rho at the same RAM cap. ratio = 1
-// (the default) reproduces the paper's model bit for bit.
+// rest encoded, so a 0.5 fp16 codec (units(s) = 0.5 s) buys ~2x the slots
+// per byte budget and the planner provably selects a lower rho at the same
+// RAM cap; measured per-slot ratios price each slot at its own ratio. The
+// default pricing (every slot at 1) reproduces the paper's model bit for
+// bit.
 // The planner answers the two questions Figure 1 plots: "given a recompute
 // budget rho, how much memory do I need?" and "given a device, what is the
 // smallest rho that fits?". It also computes the paper's n_max = the
@@ -23,6 +25,7 @@
 
 #include "core/dynprog.hpp"
 #include "core/revolve.hpp"
+#include "core/slot_pricing.hpp"
 
 namespace edgetrain::core {
 
@@ -33,19 +36,13 @@ struct ChainSpec {
   int depth = 1;                         ///< l
   double fixed_bytes = 0.0;              ///< weights + grads + optimizer state
   double activation_bytes_per_step = 0;  ///< k * M_A (batch folded in)
-  /// Bytes a resting checkpoint slot costs relative to plaintext, in
-  /// (0, 1]: 1.0 = uncompressed, 0.5 = fp16/bf16 cast codec; use
-  /// planning_bytes_ratio(codec) or a measured_ratio() for lossless. The
-  /// live frontier activation is always charged at full size.
-  double checkpoint_bytes_ratio = 1.0;
-  /// Measured per-slot ratios, each in (0, 1]: entry k prices the k-th
-  /// checkpoint slot a plan occupies (the order the executor's store slots
-  /// fill, so SlotStore::measured_slot_ratio feeds this directly --
-  /// core/adaptive.hpp does). Slots past the vector's end fall back to
-  /// checkpoint_bytes_ratio. Empty (the default) keeps the homogeneous
-  /// model above bit for bit; non-empty switches every peak formula to the
-  /// prefix-sum form fixed + (1 + sum_k ratio[k]) * act_bytes.
-  std::vector<double> checkpoint_slot_ratios;
+  /// Bytes a resting checkpoint slot costs relative to plaintext. The
+  /// default prices every slot at 1 (uncompressed). A codec prices at its
+  /// planning_bytes_ratio(codec); measured per-slot ratios (entry k =
+  /// checkpoint slot k + 1, e.g. from SlotStore::measured_slot_ratio, as
+  /// core/adaptive.hpp does) price each slot at its own ratio. The live
+  /// frontier activation is always charged at full size.
+  SlotPricing pricing;
   /// Measured per-step forward costs (any positive unit; calib:: supplies
   /// microseconds), size == depth. Empty keeps the paper's unit-cost model
   /// (binomial Revolve); non-empty switches the planner to the
@@ -68,7 +65,7 @@ struct PlanPoint {
   /// F(l, s) in the chain's measured cost units (microseconds when the
   /// spec came from calib::measured_chain_spec); 0 under unit costs.
   double forward_cost_us = 0.0;
-  double peak_bytes = 0.0;       ///< fixed + (1 + s * ratio) * act_bytes
+  double peak_bytes = 0.0;       ///< fixed + (1 + units(s)) * act_bytes
 
   [[nodiscard]] bool fits(double capacity_bytes) const {
     return peak_bytes <= capacity_bytes;
@@ -119,12 +116,6 @@ class MemoryPlanner {
   [[nodiscard]] static int max_depth_without_checkpointing(
       double capacity_bytes, double fixed_bytes,
       double activation_bytes_per_step);
-
-  /// Sum of the first @p free_slots per-slot ratios (scalar-filled past
-  /// the measured vector): the "s * ratio" term of the peak formula,
-  /// generalised. Equals free_slots * checkpoint_bytes_ratio when no
-  /// per-slot measurements are set.
-  [[nodiscard]] double weighted_slot_units(int free_slots) const noexcept;
 
  private:
   [[nodiscard]] PlanPoint point_for_slots(int free_slots) const;

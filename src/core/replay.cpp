@@ -250,7 +250,7 @@ class Interpreter {
         slots_[static_cast<std::size_t>(a.slot)] = a.index;
         if (cost_.is_disk_slot(a.slot)) {
           if (cost_.overlapped_io) {
-            model_overlapped_write(cost_.slot_ratio(a.slot));
+            model_overlapped_write(cost_.pricing.slot_ratio(a.slot));
           } else {
             report_.facts.io_cost += cost_.disk_write_cost;
           }
@@ -392,9 +392,9 @@ class Interpreter {
       disk_slots_in_use_ += delta;
     } else {
       ram_slots_in_use_ += delta;
-      // Per-slot weighted occupancy; the chain-input slot 0 is the data
-      // buffer and never counts (the "- 1" of the homogeneous formula).
-      if (slot != 0) weighted_ram_units_ += delta * cost_.slot_ratio(slot);
+      // Weighted occupancy; the chain-input slot 0 is the data buffer and
+      // prices at 0 (the "- 1" of peak_memory_units).
+      weighted_ram_units_ += delta * cost_.pricing.slot_ratio(slot);
     }
   }
 
@@ -418,26 +418,15 @@ class Interpreter {
                            : 0;
     f.peak_memory_units = std::max(
         f.peak_memory_units, ram_slots_in_use_ + live_saves_ - 1 + staged);
-    // Weighted variant: resting checkpoints (occupied slots minus the
-    // input; staged write-behind blobs) rest encoded at the codec ratio,
-    // live intermediates stay plaintext. Reduces to peak_memory_units at
-    // ratio 1. With measured per-slot ratios every occupied RAM slot and
-    // every staged blob is charged at its own slot's ratio instead of the
-    // homogeneous fill (the empty-vector path stays bit-identical).
-    if (cost_.slot_bytes_ratios.empty()) {
-      f.peak_weighted_units =
-          std::max(f.peak_weighted_units,
-                   static_cast<double>(live_saves_) +
-                       cost_.slot_bytes_ratio *
-                           (std::max(ram_slots_in_use_ - 1, 0) + staged));
-    } else {
-      double resting = weighted_ram_units_;
-      for (const StagedWrite& write : outstanding_writes_) {
-        resting += write.ratio;
-      }
-      f.peak_weighted_units = std::max(
-          f.peak_weighted_units, static_cast<double>(live_saves_) + resting);
+    // Weighted variant: resting checkpoints (occupied slots other than the
+    // input; staged write-behind blobs) rest encoded at their slot's ratio,
+    // live intermediates stay plaintext.
+    double resting = weighted_ram_units_;
+    for (const StagedWrite& write : outstanding_writes_) {
+      resting += write.ratio;
     }
+    f.peak_weighted_units = std::max(
+        f.peak_weighted_units, static_cast<double>(live_saves_) + resting);
   }
 
   void finish() {
@@ -499,8 +488,7 @@ class Interpreter {
   int slots_in_use_ = 0;
   int ram_slots_in_use_ = 0;
   int disk_slots_in_use_ = 0;
-  /// Sum of CostModel::slot_ratio over occupied RAM slots excluding the
-  /// chain-input slot 0 (per-slot weighted peak accounting).
+  /// Sum of CostModel::pricing ratios over the occupied RAM slots.
   double weighted_ram_units_ = 0.0;
 
   // Overlapped-IO pipeline state (unused under the serial model).

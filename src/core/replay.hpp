@@ -23,7 +23,10 @@
 //   * every Restore reads a slot holding exactly the claimed state;
 //   * Free never orphans a state a later Restore still needs (a backward
 //     liveness pass over the action stream);
-//   * peak activation units never exceed the planner's analytic bound;
+//   * peak activation units never exceed the planner's analytic bound,
+//     and the codec-weighted peak, with resting slots priced by the same
+//     SlotPricing the planner used (core/slot_pricing.hpp), never exceeds
+//     the planner's byte bound;
 //   * total work, under the paper's cost convention (forwards at per-step
 //     cost, backwards at the same, IO at the two-level model's weights),
 //     never exceeds the scheduler's promise (<= 2 * rho * l);
@@ -40,6 +43,8 @@
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "core/slot_pricing.hpp"
 
 namespace edgetrain::core {
 
@@ -108,19 +113,13 @@ struct CostModel {
   int write_staging_slots = 1;
   int read_staging_slots = 1;
   /// Bytes a resting (slot-stored or staged) checkpoint costs relative to
-  /// plaintext, in (0, 1]: the slot codec's planning ratio. Weighted peak
-  /// accounting charges occupied RAM slots and write-behind staging at this
+  /// plaintext, keyed like ChainSpec::pricing (entry k = slot k + 1; the
+  /// chain-input slot 0 is never priced). Weighted peak accounting charges
+  /// each occupied RAM slot and each write-behind staged blob at its slot's
   /// ratio while live intermediates stay at 1 -- exactly the planner's
-  /// peak(s) = fixed + (1 + s * ratio) * act model, in activation units.
-  double slot_bytes_ratio = 1.0;
-  /// Measured per-slot resting ratios, keyed by slot id (e.g. from
-  /// SlotStore::measured_slot_ratio after a pass). Slots past the vector's
-  /// end fall back to slot_bytes_ratio; empty keeps the homogeneous model
-  /// bit-identical. With per-slot ratios the weighted peak charges each
-  /// occupied RAM slot at its own ratio (chain-input slot 0 excluded, as
-  /// in peak_memory_units), which is the planner's per-slot prefix-sum
-  /// peak model and the bound schedule_lint re-checks after a re-plan.
-  std::vector<double> slot_bytes_ratios;
+  /// peak(s) = fixed + (1 + units(s)) * act model, in activation units,
+  /// and the bound schedule_lint re-checks after a re-plan.
+  SlotPricing pricing;
 
   [[nodiscard]] double step_cost(std::int32_t step) const {
     if (step_costs.empty()) return 1.0;
@@ -128,14 +127,6 @@ struct CostModel {
   }
   [[nodiscard]] bool is_disk_slot(std::int32_t slot) const noexcept {
     return slot >= first_disk_slot;
-  }
-  /// Resting ratio charged for @p slot: the measured per-slot entry when
-  /// one exists, slot_bytes_ratio otherwise.
-  [[nodiscard]] double slot_ratio(std::int32_t slot) const noexcept {
-    return slot >= 0 &&
-                   static_cast<std::size_t>(slot) < slot_bytes_ratios.size()
-               ? slot_bytes_ratios[static_cast<std::size_t>(slot)]
-               : slot_bytes_ratio;
   }
 };
 
@@ -154,11 +145,11 @@ struct Bounds {
   std::optional<double> max_total_cost;
   /// Codec-weighted peak activation units (peak_weighted_units must stay
   /// <= this). For the one-live-save schedule families (binomial Revolve,
-  /// two-level disk Revolve) with s free slots and a codec of ratio r the
-  /// planner promises 1 + r * s (+ r * staging when the overlapped-IO
-  /// model is on). Families that keep several live saves at once
-  /// (sequential segmentation, full storage) have no such closed form --
-  /// leave it unset there.
+  /// two-level disk Revolve) with s free slots the planner promises
+  /// 1 + units(s) (+ the staged blobs' ratios when the overlapped-IO model
+  /// is on): 1 + r * s for a codec of ratio r. Families that keep several
+  /// live saves at once (sequential segmentation, full storage) have no
+  /// such closed form -- leave it unset there.
   std::optional<double> max_weighted_units;
 };
 
@@ -184,11 +175,11 @@ struct ScheduleStats {
   /// Full storage over l steps replays to l; Revolve with s free slots to
   /// s + 1 (matching the planner's analytic model), or to s when s = l - 1.
   int peak_memory_units = 0;
-  /// Same quantity with resting checkpoints (occupied RAM slots minus the
-  /// input, plus write-behind staging) charged at CostModel::
-  /// slot_bytes_ratio and live intermediates at 1: peak RAM in plaintext
+  /// Same quantity with resting checkpoints (occupied RAM slots other than
+  /// the input, plus write-behind staging) charged at their CostModel::
+  /// pricing ratio and live intermediates at 1: peak RAM in plaintext
   /// activation units when slots hold codec blobs. Equals
-  /// peak_memory_units when the ratio is 1.
+  /// peak_memory_units under the default (plaintext) pricing.
   double peak_weighted_units = 0.0;
   double forward_cost = 0.0;   ///< weighted advances + unabsorbed saves
   double backward_cost = 0.0;  ///< weighted backwards

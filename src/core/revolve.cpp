@@ -156,57 +156,6 @@ int min_free_slots_for_cost(int num_steps, std::int64_t max_forwards) {
   return num_steps - 1;
 }
 
-int max_free_slots_for_bytes(double capacity_bytes, double fixed_bytes,
-                             double act_bytes, double checkpoint_bytes_ratio) {
-  if (act_bytes <= 0.0) {
-    throw std::invalid_argument(
-        "max_free_slots_for_bytes: act_bytes must be > 0");
-  }
-  if (checkpoint_bytes_ratio <= 0.0 || checkpoint_bytes_ratio > 1.0) {
-    throw std::invalid_argument(
-        "max_free_slots_for_bytes: ratio must be in (0, 1]");
-  }
-  // Room left after the fixed state and the plaintext frontier activation.
-  const double room = capacity_bytes - fixed_bytes - act_bytes;
-  if (room < 0.0) return -1;
-  return static_cast<int>(room / (act_bytes * checkpoint_bytes_ratio));
-}
-
-int max_free_slots_for_bytes(double capacity_bytes, double fixed_bytes,
-                             double act_bytes,
-                             const std::vector<double>& slot_ratios,
-                             double fill_ratio) {
-  if (act_bytes <= 0.0) {
-    throw std::invalid_argument(
-        "max_free_slots_for_bytes: act_bytes must be > 0");
-  }
-  if (fill_ratio <= 0.0 || fill_ratio > 1.0) {
-    throw std::invalid_argument(
-        "max_free_slots_for_bytes: fill_ratio must be in (0, 1]");
-  }
-  for (const double ratio : slot_ratios) {
-    if (ratio <= 0.0 || ratio > 1.0) {
-      throw std::invalid_argument(
-          "max_free_slots_for_bytes: slot ratios must be in (0, 1]");
-    }
-  }
-  const double room = capacity_bytes - fixed_bytes - act_bytes;
-  if (room < 0.0) return -1;
-  // The weighted prefix sum is strictly increasing, so the first measured
-  // slot that overflows the room bounds the answer; past the measured
-  // vector the ratios are constant and the tail is closed-form.
-  int s = 0;
-  double units = 0.0;
-  while (s < static_cast<int>(slot_ratios.size())) {
-    const double next = units + slot_ratios[static_cast<std::size_t>(s)];
-    if (next * act_bytes > room) return s;
-    units = next;
-    ++s;
-  }
-  const double tail = room / act_bytes - units;
-  return tail <= 0.0 ? s : s + static_cast<int>(tail / fill_ratio);
-}
-
 Schedule make_schedule(int num_steps, int free_slots) {
   if (num_steps < 1) throw std::invalid_argument("make_schedule: l < 1");
   free_slots = std::clamp(free_slots, 0, std::max(num_steps - 1, 0));

@@ -109,29 +109,6 @@ class RevolveTable {
 [[nodiscard]] int min_free_slots_for_cost(int num_steps,
                                           std::int64_t max_forwards);
 
-/// Largest s whose compressed-checkpoint footprint
-///   fixed_bytes + (1 + s * checkpoint_bytes_ratio) * act_bytes
-/// fits @p capacity_bytes; -1 when even s = 0 (input + frontier only) does
-/// not fit. ratio = 1 is the paper's plaintext model; a 0.5 codec doubles
-/// the slots the same budget buys, which is how compression becomes a
-/// lower achievable rho. Throws std::invalid_argument on act_bytes <= 0 or
-/// ratio outside (0, 1].
-[[nodiscard]] int max_free_slots_for_bytes(double capacity_bytes,
-                                           double fixed_bytes,
-                                           double act_bytes,
-                                           double checkpoint_bytes_ratio = 1.0);
-
-/// Per-slot variant: the k-th free slot rests at slot_ratios[k] (entries
-/// past the vector's end cost fill_ratio), so the footprint of s slots is
-///   fixed_bytes + (1 + sum_{k<s} ratio_k) * act_bytes.
-/// Returns the largest s that fits; -1 when even s = 0 does not. The
-/// prefix sum is monotone (ratios are positive), matching the scalar
-/// overload exactly when every entry equals fill_ratio. Throws
-/// std::invalid_argument on act_bytes <= 0 or any ratio outside (0, 1].
-[[nodiscard]] int max_free_slots_for_bytes(
-    double capacity_bytes, double fixed_bytes, double act_bytes,
-    const std::vector<double>& slot_ratios, double fill_ratio = 1.0);
-
 /// Generates the executor-dialect schedule realising F(l, s): slot 0 holds
 /// the chain input, slots 1..s are the free checkpoints, every Backward is
 /// preceded by its re-materialising ForwardSave. The result validates and

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "core/batch_tradeoff.hpp"
+#include "core/slot_codec.hpp"
 
 namespace edgetrain::core {
 
@@ -85,9 +86,10 @@ StrategyRecommendation recommend_strategy(const StrategyRequest& request) {
         << request.rho_budget << ").";
     fill_batch(request, 1.0, rec);
   } else {
-    // Try fp16 checkpoint compression: halves every slot.
+    // Try fp16 checkpoint compression: halves every resting slot, while
+    // the live frontier activation stays plaintext.
     ChainSpec half = chain;
-    half.activation_bytes_per_step = chain.activation_bytes_per_step / 2.0;
+    half.pricing = SlotPricing(planning_bytes_ratio(SlotCodec::Fp16));
     const MemoryPlanner half_planner(half);
     const PlanReport half_report = half_planner.report_for_device(capacity);
     if (half_report.fits_with_checkpointing &&

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 
-#include "core/executor.hpp"
-#include "core/revolve.hpp"
-#include "nn/chain_runner.hpp"
-#include "nn/optim.hpp"
-#include "tensor/ops.hpp"
+#include "nn/trainer.hpp"
 
 namespace edgetrain::insitu {
 
@@ -93,16 +89,10 @@ NodeSimResult run_node_simulation(const NodeSimConfig& config) {
     if (!data.empty()) {
       const int steps = static_cast<int>(std::min<std::int64_t>(
           report.step_budget, config.max_real_steps_per_hour));
-      nn::SGD optimizer(student.chain().params(), config.student_train.lr,
-                        config.student_train.momentum);
-      nn::LayerChainRunner runner(student.chain(), nn::Phase::Train);
-      core::ScheduleExecutor executor;
-      const core::Schedule schedule =
-          config.student_train.checkpoint_free_slots >= 0
-              ? core::revolve::make_schedule(
-                    student.chain().size(),
-                    config.student_train.checkpoint_free_slots)
-              : core::full_storage_schedule(student.chain().size());
+      // One trainer per hour: its optimizer, and so the momentum, starts
+      // afresh each hour.
+      nn::Trainer trainer(student.chain(),
+                          trainer_options(config.student_train));
 
       const std::size_t batch = std::min<std::size_t>(
           static_cast<std::size_t>(config.student_train.batch_size),
@@ -118,17 +108,8 @@ NodeSimResult run_node_simulation(const NodeSimConfig& config) {
         for (std::size_t i = 0; i < batch; ++i) {
           indices.push_back(index_dist(rng));
         }
-        Tensor x = data.gather(indices);
-        const std::vector<std::int32_t> labels = data.gather_labels(indices);
-        optimizer.zero_grad();
-        runner.begin_pass();
-        const core::LossGradFn loss_grad = [&](const Tensor& logits) {
-          const ops::SoftmaxXentResult r =
-              ops::softmax_xent_forward(logits, labels);
-          return ops::softmax_xent_backward(r.probs, labels);
-        };
-        (void)executor.run(runner, schedule, x, loss_grad);
-        optimizer.step();
+        (void)trainer.step(data.gather(indices),
+                           data.gather_labels(indices));
         ++report.steps_run;
       }
     }

@@ -103,6 +103,17 @@ std::vector<std::pair<std::int32_t, float>> predictions_from_logits(
   return out;
 }
 
+nn::TrainerOptions trainer_options(const TrainOptions& options) {
+  nn::TrainerOptions trainer;
+  trainer.strategy = options.checkpoint_free_slots >= 0
+                         ? nn::CheckpointStrategy::Revolve
+                         : nn::CheckpointStrategy::FullStorage;
+  trainer.free_slots = std::max(options.checkpoint_free_slots, 0);
+  trainer.lr = options.lr;
+  trainer.momentum = options.momentum;
+  return trainer;
+}
+
 PatchClassifier::PatchClassifier(int patch, int num_classes,
                                  std::int64_t base_channels,
                                  std::uint32_t seed)
@@ -116,14 +127,7 @@ TrainStats PatchClassifier::train(const PatchDataset& data,
   if (data.empty()) throw std::invalid_argument("train: empty dataset");
   TrainStats stats;
 
-  nn::TrainerOptions trainer_options;
-  trainer_options.strategy = options.checkpoint_free_slots >= 0
-                                 ? nn::CheckpointStrategy::Revolve
-                                 : nn::CheckpointStrategy::FullStorage;
-  trainer_options.free_slots = std::max(options.checkpoint_free_slots, 0);
-  trainer_options.lr = options.lr;
-  trainer_options.momentum = options.momentum;
-  nn::Trainer trainer(chain_, trainer_options);
+  nn::Trainer trainer(chain_, trainer_options(options));
 
   // Covers every executor pass (including checkpointed recompute) so all
   // forwards of a step agree on precision; optimizer state stays fp32.

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "nn/chain.hpp"
+#include "nn/trainer.hpp"
 #include "tensor/tensor.hpp"
 
 namespace edgetrain::insitu {
@@ -76,6 +77,11 @@ struct TrainStats {
     return epoch_losses.empty() ? 0.0F : epoch_losses.back();
   }
 };
+
+/// The nn::Trainer configuration a TrainOptions trains through: Revolve
+/// with checkpoint_free_slots free slots (full storage when negative) and
+/// SGD at lr and momentum.
+[[nodiscard]] nn::TrainerOptions trainer_options(const TrainOptions& options);
 
 /// Row-wise argmax label + softmax confidence of that label, one pair per
 /// row of logits[N,K]; the numeric recipe (max-subtracted double-precision

@@ -20,7 +20,7 @@ core::ChainSpec LinearResNet::to_chain_spec(
   spec.depth = depth;
   spec.fixed_bytes = fixed_bytes;
   spec.activation_bytes_per_step = act_bytes_per_step;
-  spec.checkpoint_bytes_ratio = checkpoint_bytes_ratio;
+  spec.pricing = core::SlotPricing(checkpoint_bytes_ratio);
   return spec;
 }
 

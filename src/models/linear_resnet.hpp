@@ -25,9 +25,9 @@ struct LinearResNet {
                                                 int image_size,
                                                 std::int64_t batch);
 
-  /// The planner's chain description. @p checkpoint_bytes_ratio is the
-  /// slot-codec compression factor for resting checkpoints (1.0 =
-  /// uncompressed, core::planning_bytes_ratio(codec) for a codec).
+  /// The planner's chain description, every resting checkpoint priced at
+  /// @p checkpoint_bytes_ratio (1.0 = uncompressed,
+  /// core::planning_bytes_ratio(codec) for a codec).
   [[nodiscard]] core::ChainSpec to_chain_spec(
       double checkpoint_bytes_ratio = 1.0) const;
 

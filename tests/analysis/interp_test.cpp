@@ -386,7 +386,7 @@ TEST(InterpCost, PerSlotWeightedUnitsMatchHandComputedPeak) {
   ASSERT_EQ(sch.validate(), std::nullopt) << sch.to_string();
 
   CostModel cost;
-  cost.slot_bytes_ratios = {1.0, 0.25, 0.5};
+  cost.pricing = core::SlotPricing({0.25, 0.5}, 1.0);  // slots 1 and 2
   Bounds bounds;
   bounds.max_weighted_units = 1.75;
   const Report report = interpret(sch, cost, bounds);
@@ -399,19 +399,18 @@ TEST(InterpCost, PerSlotWeightedUnitsMatchHandComputedPeak) {
   EXPECT_TRUE(has_error(interpret(sch, cost, tight),
                         Check::WeightedMemoryBound));
 
-  // An all-equal vector must reproduce the homogeneous scalar model
-  // exactly -- same formula, different bookkeeping path.
+  // An all-equal measured vector must reproduce the homogeneous scalar
+  // pricing exactly.
   CostModel scalar;
-  scalar.slot_bytes_ratio = 0.5;
+  scalar.pricing = core::SlotPricing(0.5);
   CostModel vec;
-  vec.slot_bytes_ratios = {0.5, 0.5, 0.5};
+  vec.pricing = core::SlotPricing({0.5, 0.5}, 1.0);
   EXPECT_DOUBLE_EQ(interpret(sch, scalar, Bounds{}).facts.peak_weighted_units,
                    interpret(sch, vec, Bounds{}).facts.peak_weighted_units);
 
-  // Slots past the vector's end fall back to the scalar ratio.
+  // Slots past the measured entries cost the fill ratio.
   CostModel mixed;
-  mixed.slot_bytes_ratio = 0.5;
-  mixed.slot_bytes_ratios = {1.0, 0.25};  // slot 2 falls back to 0.5
+  mixed.pricing = core::SlotPricing({0.25}, 0.5);  // slot 2 at the fill
   EXPECT_DOUBLE_EQ(
       interpret(sch, mixed, Bounds{}).facts.peak_weighted_units, 1.75);
 }

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -386,35 +387,37 @@ TEST(Feeders, PricedDiskOptionsUseMeasuredSpillPath) {
   EXPECT_DOUBLE_EQ(priced.spill_bytes_ratio, 0.5);
 }
 
+/// Reports slot / 10 as every slot's measured ratio.
+class StepRatioStore : public core::SlotStore {
+ public:
+  explicit StepRatioStore(int num_slots) : inner_(num_slots) {}
+  void put(std::int32_t slot, const Tensor& value) override {
+    inner_.put(slot, value);
+  }
+  [[nodiscard]] Tensor get(std::int32_t slot) override {
+    return inner_.get(slot);
+  }
+  void drop(std::int32_t slot) override { inner_.drop(slot); }
+  [[nodiscard]] std::size_t resident_bytes() const override {
+    return inner_.resident_bytes();
+  }
+  [[nodiscard]] std::size_t external_bytes() const override { return 0; }
+  [[nodiscard]] double measured_slot_ratio(
+      std::int32_t slot) const override {
+    // Slot 3 reports a bogus >1 "ratio" (e.g. codec overhead on a tiny
+    // payload) that the feeder must clamp.
+    return slot == 3 ? 7.5 : static_cast<double>(slot) / 10.0;
+  }
+
+ private:
+  core::TieredSlotStore inner_;
+};
+
 // The static-ratio blind spot, closed: measured per-slot ratios read off a
 // live store must thread verbatim into all three planner inputs -- the
 // ChainSpec, the calibrated DiskRevolveOptions, and the interpreter's
 // CostModel -- with out-of-range measurements clamped into (0, 1].
 TEST(Feeders, MeasuredSlotRatiosThreadThroughEveryPlannerInput) {
-  class StepRatioStore : public core::SlotStore {
-   public:
-    explicit StepRatioStore(int num_slots) : inner_(num_slots) {}
-    void put(std::int32_t slot, const Tensor& value) override {
-      inner_.put(slot, value);
-    }
-    [[nodiscard]] Tensor get(std::int32_t slot) override {
-      return inner_.get(slot);
-    }
-    void drop(std::int32_t slot) override { inner_.drop(slot); }
-    [[nodiscard]] std::size_t resident_bytes() const override {
-      return inner_.resident_bytes();
-    }
-    [[nodiscard]] std::size_t external_bytes() const override { return 0; }
-    [[nodiscard]] double measured_slot_ratio(
-        std::int32_t slot) const override {
-      // Slot 3 reports a bogus >1 "ratio" (e.g. codec overhead on a tiny
-      // payload) that the feeder must clamp.
-      return slot == 3 ? 7.5 : static_cast<double>(slot) / 10.0;
-    }
-
-   private:
-    core::TieredSlotStore inner_;
-  };
   const StepRatioStore store(5);
   const std::vector<double> ratios = measured_slot_ratios(store, 1, 3);
   ASSERT_EQ(ratios.size(), 3U);
@@ -423,10 +426,10 @@ TEST(Feeders, MeasuredSlotRatiosThreadThroughEveryPlannerInput) {
   EXPECT_DOUBLE_EQ(ratios[2], 1.0);  // clamped
 
   const ChainCosts costs = golden_costs();
-  const core::ChainSpec spec =
-      measured_chain_spec("golden", costs, 100.0, ratios, 0.5);
-  EXPECT_EQ(spec.checkpoint_slot_ratios, ratios);
-  EXPECT_DOUBLE_EQ(spec.checkpoint_bytes_ratio, 0.5);
+  const core::ChainSpec spec = measured_chain_spec(
+      "golden", costs, 100.0, core::SlotPricing(ratios, 0.5));
+  EXPECT_EQ(spec.pricing.measured(), ratios);
+  EXPECT_DOUBLE_EQ(spec.pricing.fill(), 0.5);
   EXPECT_EQ(spec.step_costs, costs.forward_us);
 
   const DeviceModel m = sample_model();
@@ -434,17 +437,35 @@ TEST(Feeders, MeasuredSlotRatiosThreadThroughEveryPlannerInput) {
   base.ram_slots = 2;
   const core::disk::DiskRevolveOptions priced =
       priced_disk_options(costs, m, base, ratios);
-  EXPECT_EQ(priced.spill_slot_ratios, ratios);
-  // IO weights stay the plaintext spill times; the DP applies the
-  // per-slot ratios itself.
+  EXPECT_DOUBLE_EQ(priced.spill_bytes_ratio, (0.1 + 0.2 + 1.0) / 3.0);
+  // IO weights stay the plaintext spill times; the DP applies the mean
+  // measured ratio itself.
   const double mean_fwd_us = 7.0 / 3.0;
   EXPECT_DOUBLE_EQ(priced.write_cost, m.disk_write_us(1024.0) / mean_fwd_us);
   EXPECT_DOUBLE_EQ(priced.read_cost, m.disk_read_us(1024.0) / mean_fwd_us);
 
-  const analysis::CostModel cm = cost_model(costs, m, 2, ratios);
-  EXPECT_EQ(cm.slot_bytes_ratios, ratios);
+  const analysis::CostModel cm =
+      cost_model(costs, m, 2, core::SlotPricing(ratios, 1.0));
+  EXPECT_EQ(cm.pricing.measured(), ratios);
   EXPECT_EQ(cm.first_disk_slot, 2);
   EXPECT_EQ(cm.step_costs, costs.forward_us);
+}
+
+// measured_slot_ratios(store, 1, s) and the CostModel share one keying:
+// entry 0 prices checkpoint slot 1. A Revolve schedule with one free slot
+// peaks at one live save plus slot 1, so the weighted peak must be
+// 1 + ratios[0] -- not the ratio of slot 2.
+TEST(Feeders, CostModelPricesSlotOneAtTheFirstMeasuredRatio) {
+  const StepRatioStore store(4);
+  const std::vector<double> ratios = measured_slot_ratios(store, 1, 3);
+  const analysis::CostModel cm =
+      cost_model(golden_costs(), sample_model(),
+                 std::numeric_limits<std::int32_t>::max(),
+                 core::SlotPricing(ratios, 1.0));
+  const analysis::Report report =
+      analysis::interpret(core::revolve::make_schedule(3, 1), cm);
+  ASSERT_TRUE(report.ok()) << report.summary();
+  EXPECT_DOUBLE_EQ(report.facts.peak_weighted_units, 1.0 + ratios[0]);
 }
 
 TEST(Feeders, CostModelPredictsScheduleMicroseconds) {

@@ -125,8 +125,8 @@ TEST(AdaptiveReplannerTest, InitialPlanUsesWorstCaseFallback) {
   EXPECT_EQ(replanner.free_slots(), 1);
   EXPECT_EQ(replanner.replans(), 0);
   EXPECT_FALSE(replanner.drift_latched());
-  ASSERT_EQ(replanner.planned_ratios().size(), 1U);
-  EXPECT_DOUBLE_EQ(replanner.planned_ratios()[0], 1.0);
+  ASSERT_EQ(replanner.pricing().measured().size(), 1U);
+  EXPECT_DOUBLE_EQ(replanner.pricing().measured()[0], 1.0);
   EXPECT_EQ(replanner.schedule().validate(), std::nullopt);
 }
 
@@ -149,7 +149,7 @@ TEST(AdaptiveReplannerTest, MeasuredDriftGrowsThePlanAtPassBoundary) {
   EXPECT_EQ(replanner.replans(), 1);
   // room = 1 activation unit at ratio 0.25 -> 4 slots now fit.
   EXPECT_EQ(replanner.free_slots(), 4);
-  for (const double ratio : replanner.planned_ratios()) {
+  for (const double ratio : replanner.pricing().measured()) {
     EXPECT_DOUBLE_EQ(ratio, 0.25);
   }
   EXPECT_EQ(replanner.schedule().validate(), std::nullopt);
@@ -178,7 +178,7 @@ TEST(AdaptiveReplannerTest, ReplanPricesEachSlotAtTheWorstRatioItHeld) {
   ASSERT_GT(store.puts(1), 1);
   EXPECT_TRUE(replanner.finish_pass(store));
   EXPECT_EQ(replanner.free_slots(), 2);
-  for (const double ratio : replanner.planned_ratios()) {
+  for (const double ratio : replanner.pricing().measured()) {
     EXPECT_DOUBLE_EQ(ratio, 0.5);
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <random>
@@ -111,6 +112,22 @@ TEST(MemoryPlanner, PlanForRhoUsesMinimalSlots) {
   }
 }
 
+TEST(MemoryPlanner, HugeCapacitySaturatesTheSlotFit) {
+  // 1e10 one-byte activations fit: full storage, not an int overflow that
+  // wraps the fit to the slot-less plan.
+  ChainSpec spec = demo_chain(50);
+  spec.fixed_bytes = 0.0;
+  spec.activation_bytes_per_step = 1.0;
+  const PlanReport report = MemoryPlanner(spec).report_for_device(1e10);
+  EXPECT_TRUE(report.fits_without_checkpointing);
+  EXPECT_EQ(report.recommended.free_slots, 49);
+  EXPECT_DOUBLE_EQ(report.min_rho_to_fit, 1.0);
+  EXPECT_EQ(SlotPricing(0.5).max_free_slots(1e10, 0.0, 1.0),
+            std::numeric_limits<int>::max());
+  EXPECT_EQ(SlotPricing({0.5}, 0.5).max_free_slots(1e10, 0.0, 1.0),
+            std::numeric_limits<int>::max());
+}
+
 TEST(MemoryPlanner, RejectsBadChain) {
   ChainSpec bad = demo_chain();
   bad.depth = 0;
@@ -119,10 +136,8 @@ TEST(MemoryPlanner, RejectsBadChain) {
   zero_act.activation_bytes_per_step = 0.0;
   EXPECT_THROW(MemoryPlanner{zero_act}, std::invalid_argument);
   ChainSpec bad_ratio = demo_chain();
-  bad_ratio.checkpoint_bytes_ratio = 0.0;
-  EXPECT_THROW(MemoryPlanner{bad_ratio}, std::invalid_argument);
-  bad_ratio.checkpoint_bytes_ratio = 1.5;
-  EXPECT_THROW(MemoryPlanner{bad_ratio}, std::invalid_argument);
+  EXPECT_THROW(bad_ratio.pricing = SlotPricing(0.0), std::invalid_argument);
+  EXPECT_THROW(bad_ratio.pricing = SlotPricing(1.5), std::invalid_argument);
 }
 
 // --- compressed checkpoint slots -------------------------------------------
@@ -131,7 +146,7 @@ TEST(MemoryPlanner, CompressedPeakFollowsWeightedFormula) {
   // peak(s) = fixed + (1 + s * ratio) * act: the frontier activation is
   // always plaintext, resting checkpoints cost ratio * act each.
   ChainSpec spec = demo_chain(50, 400.0, 5.0);
-  spec.checkpoint_bytes_ratio = 0.5;
+  spec.pricing = SlotPricing(0.5);
   const MemoryPlanner planner(spec);
   const PlanPoint full = planner.plan_for_rho(1.0);
   EXPECT_DOUBLE_EQ(full.peak_bytes,
@@ -142,7 +157,7 @@ TEST(MemoryPlanner, CompressedPeakFollowsWeightedFormula) {
   for (const double cap_mib : {401.0, 420.0, 500.0, 650.0, 1000.0}) {
     const PlanReport a = plain.report_for_device(cap_mib * kMiB);
     ChainSpec one = demo_chain(50, 400.0, 5.0);
-    one.checkpoint_bytes_ratio = 1.0;
+    one.pricing = SlotPricing(1.0);
     const PlanReport b = MemoryPlanner(one).report_for_device(cap_mib * kMiB);
     EXPECT_DOUBLE_EQ(a.min_rho_to_fit, b.min_rho_to_fit) << cap_mib;
   }
@@ -153,7 +168,7 @@ TEST(MemoryPlanner, CompressionAdmitsMoreSlotsAtSameCap) {
   // ratio 0.5 affords 1 + floor((500-400-5)/2.5) = 39.
   const MemoryPlanner plain(demo_chain(50, 400.0, 5.0));
   ChainSpec spec = demo_chain(50, 400.0, 5.0);
-  spec.checkpoint_bytes_ratio = 0.5;
+  spec.pricing = SlotPricing(0.5);
   const MemoryPlanner compressed(spec);
   const PlanReport plain_report = plain.report_for_device(500.0 * kMiB);
   const PlanReport comp_report = compressed.report_for_device(500.0 * kMiB);
@@ -203,7 +218,7 @@ TEST(MemoryPlanner, CodecPlansStrictlyLowerRhoOnLinearResNets) {
     const int s = comp_report.recommended.free_slots;
     const Schedule schedule = revolve::make_schedule(linear.depth, s);
     analysis::CostModel cost;
-    cost.slot_bytes_ratio = 0.5;
+    cost.pricing = SlotPricing(0.5);
     analysis::Bounds bounds;
     bounds.max_weighted_units = 1.0 + 0.5 * static_cast<double>(s);
     bounds.max_ram_slots = s + 1;
@@ -264,8 +279,10 @@ TEST(MemoryPlanner, BitmapMeasuredRatiosBeatFp16AtWaggleCap) {
     // Per-slot measured vector (entry k prices checkpoint slot k + 1), the
     // form SlotStore::measured_slot_ratio feeds: every slot at the achieved
     // bitmap ratio, tail falling back to the same value.
-    bitmap_spec.checkpoint_slot_ratios.assign(
-        static_cast<std::size_t>(linear.depth - 1), bitmap_ratio);
+    bitmap_spec.pricing = SlotPricing(
+        std::vector<double>(static_cast<std::size_t>(linear.depth - 1),
+                            bitmap_ratio),
+        bitmap_ratio);
     const MemoryPlanner bitmap(bitmap_spec);
 
     const PlanReport fp16_report =
@@ -291,7 +308,7 @@ TEST(MemoryPlanner, BitmapMeasuredRatiosBeatFp16AtWaggleCap) {
     const int s = bitmap_report.recommended.free_slots;
     EXPECT_NEAR(bitmap_report.recommended.peak_bytes,
                 linear.fixed_bytes +
-                    (1.0 + bitmap.weighted_slot_units(s)) *
+                    (1.0 + bitmap.chain().pricing.units(s)) *
                         linear.act_bytes_per_step,
                 1.0)
         << linear.name;
@@ -300,16 +317,14 @@ TEST(MemoryPlanner, BitmapMeasuredRatiosBeatFp16AtWaggleCap) {
 
 TEST(RevolveBytes, MaxFreeSlotsForBytesMatchesPlannerGeometry) {
   // room = cap - fixed - act; slots = floor(room / (act * ratio)).
-  EXPECT_EQ(revolve::max_free_slots_for_bytes(500.0, 400.0, 5.0, 1.0), 19);
-  EXPECT_EQ(revolve::max_free_slots_for_bytes(500.0, 400.0, 5.0, 0.5), 38);
-  EXPECT_EQ(revolve::max_free_slots_for_bytes(404.0, 400.0, 5.0, 0.5), -1);
-  EXPECT_EQ(revolve::max_free_slots_for_bytes(405.0, 400.0, 5.0, 0.5), 0);
-  EXPECT_THROW((void)revolve::max_free_slots_for_bytes(500.0, 0.0, 0.0, 1.0),
+  EXPECT_EQ(SlotPricing(1.0).max_free_slots(500.0, 400.0, 5.0), 19);
+  EXPECT_EQ(SlotPricing(0.5).max_free_slots(500.0, 400.0, 5.0), 38);
+  EXPECT_EQ(SlotPricing(0.5).max_free_slots(404.0, 400.0, 5.0), -1);
+  EXPECT_EQ(SlotPricing(0.5).max_free_slots(405.0, 400.0, 5.0), 0);
+  EXPECT_THROW((void)SlotPricing(1.0).max_free_slots(500.0, 0.0, 0.0),
                std::invalid_argument);
-  EXPECT_THROW((void)revolve::max_free_slots_for_bytes(500.0, 0.0, 5.0, 0.0),
-               std::invalid_argument);
-  EXPECT_THROW((void)revolve::max_free_slots_for_bytes(500.0, 0.0, 5.0, 1.5),
-               std::invalid_argument);
+  EXPECT_THROW((void)SlotPricing(0.0), std::invalid_argument);
+  EXPECT_THROW((void)SlotPricing(1.5), std::invalid_argument);
 }
 
 TEST(RevolveBytes, PerSlotOverloadWalksMeasuredPrefixThenClosedFormTail) {
@@ -317,50 +332,118 @@ TEST(RevolveBytes, PerSlotOverloadWalksMeasuredPrefixThenClosedFormTail) {
   // room = 500 - 400 - 5 = 95 -> weighted units budget 95 / 5 = 19.
   // Measured walk consumes 0.6, tail at fill 1.0 adds floor(18.4) = 18,
   // so s = 2 + 18 = 20.
-  EXPECT_EQ(revolve::max_free_slots_for_bytes(500.0, 400.0, 5.0, measured,
-                                              1.0),
-            20);
+  EXPECT_EQ(SlotPricing(measured, 1.0).max_free_slots(500.0, 400.0, 5.0), 20);
   // Budget 2 units (cap 415 = 400 + 5 + 2 * 5): the walk admits both
   // measured slots (sum 0.6), the closed-form tail adds
   // floor((2 - 0.6) / 1.0) = 1 more: s = 3.
-  EXPECT_EQ(revolve::max_free_slots_for_bytes(415.0, 400.0, 5.0, measured,
-                                              1.0),
-            3);
+  EXPECT_EQ(SlotPricing(measured, 1.0).max_free_slots(415.0, 400.0, 5.0), 3);
   // Budget 0.5 units: the second measured slot (cumulative 0.6) already
   // overflows mid-walk.
-  EXPECT_EQ(revolve::max_free_slots_for_bytes(407.5, 400.0, 5.0, measured,
-                                              1.0),
-            1);
-  // All-equal vector must reproduce the scalar overload exactly.
-  EXPECT_EQ(revolve::max_free_slots_for_bytes(500.0, 400.0, 5.0,
-                                              {0.5, 0.5, 0.5}, 0.5),
-            revolve::max_free_slots_for_bytes(500.0, 400.0, 5.0, 0.5));
-  // Empty vector degenerates to the scalar model at fill_ratio.
-  EXPECT_EQ(revolve::max_free_slots_for_bytes(500.0, 400.0, 5.0, {}, 0.5),
-            38);
+  EXPECT_EQ(SlotPricing(measured, 1.0).max_free_slots(407.5, 400.0, 5.0), 1);
+  // All-equal vector must reproduce the scalar model exactly.
+  EXPECT_EQ(
+      SlotPricing({0.5, 0.5, 0.5}, 0.5).max_free_slots(500.0, 400.0, 5.0),
+      SlotPricing(0.5).max_free_slots(500.0, 400.0, 5.0));
+  // Empty vector degenerates to the scalar model at the fill ratio.
+  EXPECT_EQ(SlotPricing({}, 0.5).max_free_slots(500.0, 400.0, 5.0), 38);
   // No room for even the frontier -> -1; exactly the frontier -> 0.
-  EXPECT_EQ(revolve::max_free_slots_for_bytes(404.0, 400.0, 5.0, measured,
-                                              0.5),
-            -1);
-  EXPECT_EQ(revolve::max_free_slots_for_bytes(405.0, 400.0, 5.0, measured,
-                                              1.0),
-            0);
+  EXPECT_EQ(SlotPricing(measured, 0.5).max_free_slots(404.0, 400.0, 5.0), -1);
+  EXPECT_EQ(SlotPricing(measured, 1.0).max_free_slots(405.0, 400.0, 5.0), 0);
   // Domain checks: act <= 0, out-of-range fill, out-of-range entries.
-  EXPECT_THROW(
-      (void)revolve::max_free_slots_for_bytes(500.0, 0.0, 0.0, measured, 1.0),
-      std::invalid_argument);
-  EXPECT_THROW(
-      (void)revolve::max_free_slots_for_bytes(500.0, 0.0, 5.0, measured, 0.0),
-      std::invalid_argument);
-  EXPECT_THROW(
-      (void)revolve::max_free_slots_for_bytes(500.0, 0.0, 5.0, measured, 1.5),
-      std::invalid_argument);
-  EXPECT_THROW(
-      (void)revolve::max_free_slots_for_bytes(500.0, 0.0, 5.0, {0.5, 0.0}, 1.0),
-      std::invalid_argument);
-  EXPECT_THROW(
-      (void)revolve::max_free_slots_for_bytes(500.0, 0.0, 5.0, {1.5}, 1.0),
-      std::invalid_argument);
+  EXPECT_THROW((void)SlotPricing(measured, 1.0).max_free_slots(500.0, 0.0, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)SlotPricing(measured, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)SlotPricing(measured, 1.5), std::invalid_argument);
+  EXPECT_THROW((void)SlotPricing({0.5, 0.0}, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)SlotPricing({1.5}, 1.0), std::invalid_argument);
+}
+
+// Reference formulas for the byte fit (scalar and per-slot) and the
+// resting units. SlotPricing must reproduce them bit for bit: every plan
+// the planner, the re-planner and the sweep make depends on them.
+int reference_scalar_fit(double cap, double fixed, double act, double ratio) {
+  const double room = cap - fixed - act;
+  if (room < 0.0) return -1;
+  return static_cast<int>(room / (act * ratio));
+}
+
+int reference_vector_fit(double cap, double fixed, double act,
+                         const std::vector<double>& ratios, double fill) {
+  const double room = cap - fixed - act;
+  if (room < 0.0) return -1;
+  int s = 0;
+  double units = 0.0;
+  while (s < static_cast<int>(ratios.size())) {
+    const double next = units + ratios[static_cast<std::size_t>(s)];
+    if (next * act > room) return s;
+    units = next;
+    ++s;
+  }
+  const double tail = room / act - units;
+  return tail <= 0.0 ? s : s + static_cast<int>(tail / fill);
+}
+
+double reference_units(const std::vector<double>& ratios, double fill,
+                       int free_slots) {
+  if (ratios.empty()) return static_cast<double>(free_slots) * fill;
+  double units = 0.0;
+  for (int k = 0; k < free_slots; ++k) {
+    units += k < static_cast<int>(ratios.size())
+                 ? ratios[static_cast<std::size_t>(k)]
+                 : fill;
+  }
+  return units;
+}
+
+TEST(SlotPricing, FitAndUnitsMatchTheDeletedFormulasOnASeededGrid) {
+  std::mt19937_64 rng(2026);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  int boundary_caps = 0;
+  int floored_below = 0;  // boundary caps whose fit lands one slot short
+  for (int trial = 0; trial < 600; ++trial) {
+    const double act =
+        std::ldexp(1.0 + u(rng), static_cast<int>(u(rng) * 30.0));
+    const double fixed = u(rng) < 0.2 ? 0.0 : u(rng) * 1e3 * act;
+    const double fill = u(rng) < 0.3 ? (u(rng) < 0.5 ? 1.0 : 0.5)
+                                     : std::max(1e-3, u(rng));
+    std::vector<double> ratios;
+    if (u(rng) >= 0.25) {
+      ratios.resize(1 + static_cast<std::size_t>(u(rng) * 40.0));
+      for (double& r : ratios) r = std::max(1e-3, u(rng));
+    }
+    const SlotPricing pricing =
+        ratios.empty() ? SlotPricing(fill) : SlotPricing(ratios, fill);
+    const int span = static_cast<int>(ratios.size()) + 6;
+    for (int s = 0; s <= span; ++s) {
+      ASSERT_EQ(pricing.units(s), reference_units(ratios, fill, s))
+          << "trial " << trial << " s " << s;
+    }
+    // Capacities exactly on each slot boundary, one ulp either side, and
+    // a few in between.
+    std::vector<double> caps;
+    for (int k = 0; k <= span; ++k) {
+      const double cap =
+          fixed + (1.0 + reference_units(ratios, fill, k)) * act;
+      caps.push_back(cap);
+      caps.push_back(std::nextafter(cap, 0.0));
+      caps.push_back(std::nextafter(cap, 2.0 * cap + 1.0));
+      ++boundary_caps;
+      const int fit = pricing.max_free_slots(cap, fixed, act);
+      if (fit < k) ++floored_below;
+    }
+    for (int k = 0; k < 8; ++k) caps.push_back(fixed + u(rng) * 60.0 * act);
+    for (const double cap : caps) {
+      const int expected =
+          ratios.empty() ? reference_scalar_fit(cap, fixed, act, fill)
+                         : reference_vector_fit(cap, fixed, act, ratios, fill);
+      ASSERT_EQ(pricing.max_free_slots(cap, fixed, act), expected)
+          << "trial " << trial << " cap " << cap;
+    }
+  }
+  EXPECT_GT(boundary_caps, 10000);
+  // Rounding does floor some exact boundaries a slot short: the grid
+  // reaches the capacities where that can happen.
+  EXPECT_GT(floored_below, 0);
 }
 
 }  // namespace

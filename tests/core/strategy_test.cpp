@@ -64,6 +64,16 @@ TEST(Strategy, TightBudgetEscalatesToFp16) {
   EXPECT_NE(rec.rationale.find("fp16"), std::string::npos);
 }
 
+TEST(Strategy, Fp16KeepsTheFrontierInPlaintext) {
+  // fp16 halves the resting checkpoints, not the live frontier: even the
+  // slot-less plan needs fixed + act = 110 MiB, more than the 107 MiB
+  // device, so compression cannot rescue it (halving the whole
+  // activation would have claimed a 105 MiB fit).
+  const auto rec = recommend_strategy(request(chain(100.0, 10.0, 8), 107.0,
+                                              10.0, /*storage=*/false));
+  EXPECT_EQ(rec.feasibility, Feasibility::Infeasible);
+}
+
 TEST(Strategy, StorageEnablesDiskSpill) {
   // rho budget of 1.01 is unreachable in RAM for a big model, but a node
   // with an SD card can spill.
