@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -99,6 +100,61 @@ void BM_Conv2dBackward(benchmark::State& state) {
             4.0 * static_cast<double>(channels) * channels * 9 * 32 * 32);
 }
 BENCHMARK(BM_Conv2dBackward)->Arg(8)->Arg(16)->Arg(32)->UseRealTime();
+
+// Batch-1 shapes of ResNet-18's layer 4 at 64x64 input (512 channels at
+// 2x2), on one compute thread as the step benchmark runs them. Each conv is
+// a skinny GEMM that should be bound by streaming its weights: A_GBps is
+// the rate at which op(A) -- the weights, or their transpose -- is read.
+void BM_GemmLayer4(benchmark::State& state, bool ta, bool tb, std::int64_t m,
+                   std::int64_t n, std::int64_t k) {
+  ThreadPool::set_global_threads(1);
+  std::mt19937 rng(8);
+  Tensor a = Tensor::randn(Shape{m * k}, rng);
+  Tensor b = Tensor::randn(Shape{k * n}, rng);
+  Tensor c = Tensor::zeros(Shape{m * n});
+  for (auto _ : state) {
+    ops::gemm(ta, tb, m, n, k, 1.0F, a.data(), b.data(), 0.0F, c.data());
+    benchmark::DoNotOptimize(c.data());
+  }
+  ThreadPool::set_global_threads(0);
+  set_flops(state, 2.0 * static_cast<double>(m) * n * k);
+  state.counters["A_GBps"] = benchmark::Counter(
+      4e-9 * static_cast<double>(m) * k *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+// Conv forward, its input gradient and its weight gradient.
+BENCHMARK_CAPTURE(BM_GemmLayer4, fwd_512x4x4608, false, false, 512, 4, 4608)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_GemmLayer4, dx_4608x4x512_ta, true, false, 4608, 4, 512)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_GemmLayer4, dw_512x4608x4_tb, false, true, 512, 4608, 4)
+    ->UseRealTime();
+
+// A whole layer-4 3x3 conv, 512 -> 512 at 2x2, forward or backward
+// (im2col/col2im included), on one thread.
+void BM_Conv2dLayer4(benchmark::State& state, bool backward) {
+  ThreadPool::set_global_threads(1);
+  std::mt19937 rng(9);
+  Tensor x = Tensor::randn(Shape{1, 512, 2, 2}, rng);
+  Tensor w = Tensor::randn(Shape{512, 512, 3, 3}, rng);
+  Tensor gy = Tensor::randn(Shape{1, 512, 2, 2}, rng);
+  const ops::ConvParams p{1, 1};
+  for (auto _ : state) {
+    if (backward) {
+      ops::Conv2dGrads grads = ops::conv2d_backward(gy, x, w, p, false);
+      benchmark::DoNotOptimize(grads.grad_x.data());
+    } else {
+      Tensor y = ops::conv2d_forward(x, w, Tensor{}, p);
+      benchmark::DoNotOptimize(y.data());
+    }
+  }
+  ThreadPool::set_global_threads(0);
+  // Backward = two GEMMs of the forward's shape (dX and dW).
+  set_flops(state, (backward ? 4.0 : 2.0) * 512.0 * 512 * 9 * 4);
+}
+BENCHMARK_CAPTURE(BM_Conv2dLayer4, forward, false)->UseRealTime();
+BENCHMARK_CAPTURE(BM_Conv2dLayer4, backward, true)->UseRealTime();
 
 void BM_BatchNormForward(benchmark::State& state) {
   std::mt19937 rng(4);
@@ -216,6 +272,22 @@ void BM_ConvThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvThreads)->Apply(thread_sweep_args);
 
+/// The CPU model from /proc/cpuinfo ("unknown" off Linux), so a committed
+/// BENCH_kernels.json says which host produced it.
+std::string host_cpu() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        return line.substr(colon + 2);
+      }
+    }
+  }
+  return "unknown";
+}
+
 }  // namespace
 
 // Custom main: report to the console as usual AND mirror every run into
@@ -237,6 +309,9 @@ int main(int argc, char** argv) {
     args.push_back(out_flag.data());
     args.push_back(fmt_flag.data());
     benchmark::AddCustomContext("edgetrain_build_type", "Release");
+    benchmark::AddCustomContext("host_cpu", host_cpu());
+    benchmark::AddCustomContext(
+        "host_threads", std::to_string(std::thread::hardware_concurrency()));
   } else {
     benchmark::AddCustomContext("edgetrain_build_type", "Debug");
   }

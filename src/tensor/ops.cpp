@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "tensor/convert.hpp"
 #include "tensor/guards.hpp"
@@ -77,6 +78,7 @@ constexpr std::int64_t kNC = 256;  // B-block cols per task (multiple of kNR)
 #if defined(__GNUC__) || defined(__clang__)
 #define EDGETRAIN_VECTOR_EXT 1
 using Vec8f = float __attribute__((vector_size(32)));
+using Vec4f = float __attribute__((vector_size(16)));
 #endif
 
 /// Packing-time element widening: fp32 operands copy through, bf16 bit
@@ -196,7 +198,9 @@ void micro_kernel(std::int64_t kc, const float* __restrict ap,
 }
 
 /// c[rows, cols] = alpha * acc + beta * c (beta folds the previous value;
-/// rows/cols clip the zero-padded accumulator at the matrix edge).
+/// rows/cols clip the zero-padded accumulator at the matrix edge). Not
+/// cloned: every path writes C back through this one function, so no v3/v4
+/// clone can contract the write-back into an FMA for one path only.
 void apply_tile(const float* acc, float* c, std::int64_t ldc,
                 std::int64_t rows, std::int64_t cols, float alpha,
                 float beta) {
@@ -230,14 +234,169 @@ void scale_c(float* c, std::int64_t m, std::int64_t n, float beta) {
   });
 }
 
+// Narrow-n path. At batch 1 a late conv is a skinny GEMM -- ResNet-18's
+// layer 4 at 64x64 input is m=512, n=4, k=4608 forward and m=4608, n=4,
+// k=512 for the input gradient -- and packing all of op(A) on every call
+// costs several times the multiply. When op(B) is not transposed and
+// n <= kNarrowN, op(A) is streamed in place instead and op(B) (k x n, a few
+// tens of KB) is read straight from its rows. Each C element keeps the
+// blocked path's arithmetic exactly: per kKC block, a chain from 0.0f in p
+// order in the same `c += a * b` vector form under the same clones as
+// micro_kernel, then the same apply_tile write-back. So the two paths agree
+// bit for bit, and the row-group grid below depends on m alone.
+constexpr std::int64_t kNarrowN = 8;       // widest n the narrow path takes
+constexpr std::int64_t kNarrowRows = 8;    // A rows in flight, lanes over n
+constexpr std::int64_t kNarrowLanes = 16;  // op(A) rows per group, lanes over m
+
+#if defined(EDGETRAIN_VECTOR_EXT)
+/// One accumulator row of N lanes: n = 4 (the batch-1 2x2 conv) then loads
+/// a B row with one 16-byte load and wastes no lanes.
+template <int N>
+using NarrowVec = std::conditional_t<(N <= 4), Vec4f, Vec8f>;
+#endif
+
+/// acc[r, 0:N] = sum_p rows[r][p] * b[p, 0:N] for kNarrowRows rows of a
+/// non-transposed A (depth contiguous per row): each A element is
+/// broadcast against one N-lane row of B. acc rows lie kNR apart, the
+/// layout apply_tile reads.
+template <int N, typename TA, typename TB>
+EDGETRAIN_KERNEL_CLONES void narrow_kernel_rows(std::int64_t kc,
+                                                const TA* const* rows,
+                                                const TB* b,
+                                                float* __restrict acc) {
+#if defined(EDGETRAIN_VECTOR_EXT)
+  NarrowVec<N> c[kNarrowRows] = {};
+  for (std::int64_t p = 0; p < kc; ++p) {
+    NarrowVec<N> bv = {};
+    if constexpr (std::is_same_v<TB, float> && sizeof bv == N * sizeof(float)) {
+      std::memcpy(&bv, b + p * N, sizeof bv);
+    } else {
+      for (int j = 0; j < N; ++j) bv[j] = widen(b[p * N + j]);
+    }
+#pragma GCC unroll 8
+    for (std::int64_t r = 0; r < kNarrowRows; ++r) {
+      c[r] += widen(rows[r][p]) * bv;
+    }
+  }
+  for (std::int64_t r = 0; r < kNarrowRows; ++r) {
+    for (int j = 0; j < N; ++j) acc[r * kNR + j] = c[r][j];
+  }
+#else
+  float c[kNarrowRows * kNR] = {};
+  for (std::int64_t p = 0; p < kc; ++p) {
+    for (std::int64_t r = 0; r < kNarrowRows; ++r) {
+      const float av = widen(rows[r][p]);
+      for (int j = 0; j < N; ++j) c[r * kNR + j] += av * widen(b[p * N + j]);
+    }
+  }
+  std::memcpy(acc, c, sizeof c);
+#endif
+}
+
+/// acc[r, 0:N] = sum_p a[p * lda + r] * b[p, 0:N] for kNarrowLanes rows of
+/// a transposed A (rows contiguous: one cache line per p); each B element
+/// is broadcast against the 16 row lanes. Full = all 16 rows lie inside
+/// the matrix; the fringe group loads only @p rows of them.
+template <int N, bool Full, typename TA, typename TB>
+EDGETRAIN_KERNEL_CLONES void narrow_kernel_lanes(std::int64_t kc, const TA* a,
+                                                 std::int64_t lda,
+                                                 std::int64_t rows,
+                                                 const TB* b,
+                                                 float* __restrict acc) {
+#if defined(EDGETRAIN_VECTOR_EXT)
+  Vec8f c[kNarrowN][2] = {};  // only the first N are live
+  for (std::int64_t p = 0; p < kc; ++p) {
+    float lanes[kNarrowLanes] = {};
+    const TA* src = a + p * lda;
+    for (std::int64_t r = 0; r < (Full ? kNarrowLanes : rows); ++r) {
+      lanes[r] = widen(src[r]);
+    }
+    Vec8f a0;
+    Vec8f a1;
+    std::memcpy(&a0, lanes, sizeof a0);
+    std::memcpy(&a1, lanes + 8, sizeof a1);
+    for (int j = 0; j < N; ++j) {
+      const float bv = widen(b[p * N + j]);
+      const Vec8f bvv = {bv, bv, bv, bv, bv, bv, bv, bv};
+      c[j][0] += a0 * bvv;
+      c[j][1] += a1 * bvv;
+    }
+  }
+  for (std::int64_t r = 0; r < kNarrowLanes; ++r) {
+    for (int j = 0; j < N; ++j) acc[r * kNR + j] = c[j][r / 8][r % 8];
+  }
+#else
+  float c[kNarrowLanes * kNR] = {};
+  for (std::int64_t p = 0; p < kc; ++p) {
+    for (std::int64_t r = 0; r < (Full ? kNarrowLanes : rows); ++r) {
+      const float av = widen(a[p * lda + r]);
+      for (int j = 0; j < N; ++j) c[r * kNR + j] += av * widen(b[p * N + j]);
+    }
+  }
+  std::memcpy(acc, c, sizeof c);
+#endif
+}
+
+/// C[m, n] = alpha * op(A) * B + beta * C for n <= N, B not transposed
+/// (ldb = n). Recurses down to the compile-time lane count equal to n: a
+/// runtime-width row copy runs slower than packing.
+template <int N, typename TA, typename TB>
+void gemm_narrow(bool trans_a, std::int64_t m, std::int64_t n, std::int64_t k,
+                 float alpha, const TA* a, const TB* b, float beta, float* c) {
+  if constexpr (N > 1) {
+    if (n < N) {
+      gemm_narrow<N - 1>(trans_a, m, n, k, alpha, a, b, beta, c);
+      return;
+    }
+  }
+  const std::int64_t group = trans_a ? kNarrowLanes : kNarrowRows;
+  // Chunks of at least ~64K A elements, so small products stay inline.
+  const std::int64_t grain = std::max<std::int64_t>(1, 65536 / (group * k));
+  parallel_for(0, ceil_div(m, group), grain, [&](std::int64_t g0,
+                                                 std::int64_t g1) {
+    for (std::int64_t g = g0; g < g1; ++g) {
+      const std::int64_t i0 = g * group;
+      const std::int64_t rows = std::min(group, m - i0);
+      for (std::int64_t p0 = 0; p0 < k; p0 += kKC) {
+        const std::int64_t kc = std::min(kKC, k - p0);
+        alignas(64) float acc[kNarrowLanes * kNR];
+        if (trans_a) {
+          const TA* ap = a + p0 * m + i0;
+          if (rows == kNarrowLanes) {
+            narrow_kernel_lanes<N, true>(kc, ap, m, rows, b + p0 * N, acc);
+          } else {
+            narrow_kernel_lanes<N, false>(kc, ap, m, rows, b + p0 * N, acc);
+          }
+        } else {
+          // Rows past the matrix edge alias the last row; apply_tile
+          // drops their results.
+          const TA* row_ptrs[kNarrowRows];
+          for (std::int64_t r = 0; r < kNarrowRows; ++r) {
+            row_ptrs[r] = a + std::min(i0 + r, m - 1) * k + p0;
+          }
+          narrow_kernel_rows<N>(kc, row_ptrs, b + p0 * N, acc);
+        }
+        apply_tile(acc, c + i0 * N, N, rows, N, alpha,
+                   p0 == 0 ? beta : 1.0F);
+      }
+    }
+  });
+}
+
 /// Shared blocked driver: fp32 and bf16 gemm differ only in the element
 /// type the packers widen from, so the task grid, workspace use and
 /// accumulation order -- hence the determinism guarantees -- are one piece
 /// of code. Callers have already handled degenerate shapes and guards.
+/// Shape alone routes a narrow, non-transposed op(B) to gemm_narrow, which
+/// packs nothing and gives the same bits.
 template <typename TA, typename TB>
 void gemm_blocked(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                   std::int64_t k, float alpha, const TA* a, const TB* b,
                   float beta, float* c) {
+  if (!trans_b && n <= kNarrowN) {
+    gemm_narrow<kNarrowN>(trans_a, m, n, k, alpha, a, b, beta, c);
+    return;
+  }
   // Row-major: A is m x k (lda=k) or, transposed, stored k x m (lda=m).
   const std::int64_t lda = trans_a ? m : k;
   const std::int64_t ldb = trans_b ? k : n;
@@ -571,10 +730,37 @@ Tensor relu_backward(const Tensor& grad_y, const Tensor& y) {
   const std::int64_t n = y.numel();
   EDGETRAIN_GUARD_DISJOINT("relu_backward", {gy, n}, {yp, n}, {gp, n});
   parallel_for(0, n, 1 << 16, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) gp[i] = yp[i] > 0.0F ? gy[i] : 0.0F;
+    // gy is loaded whether or not it is used: a load under the branch
+    // keeps the loop scalar and mispredicting on a half-positive y.
+    for (std::int64_t i = b; i < e; ++i) {
+      const float g = gy[i];
+      gp[i] = yp[i] > 0.0F ? g : 0.0F;
+    }
   });
   return gx;
 }
+
+namespace {
+/// One pooling tap across output columns [ox0, ox1) of a row: best[ox]
+/// takes row[ox * s + off] (input offset idx0 + ox * s + off) where that is
+/// strictly greater. Mask selects instead of branches, so the loop
+/// vectorises: a branch on half-random data mispredicts half the time.
+void maxpool_tap(const float* __restrict row, std::int64_t s,
+                 std::int64_t off, std::int64_t idx0, std::int64_t ox0,
+                 std::int64_t ox1, float* __restrict best,
+                 std::int32_t* __restrict best_idx) {
+  for (std::int64_t ox = ox0; ox < ox1; ++ox) {
+    const std::int64_t ix = ox * s + off;
+    const float v = row[ix];
+    const float cur = best[ox];
+    const std::int32_t wins = -static_cast<std::int32_t>(v > cur);
+    best[ox] = std::bit_cast<float>((std::bit_cast<std::int32_t>(v) & wins) |
+                                    (std::bit_cast<std::int32_t>(cur) & ~wins));
+    best_idx[ox] = (static_cast<std::int32_t>(idx0 + ix) & wins) |
+                   (best_idx[ox] & ~wins);
+  }
+}
+}  // namespace
 
 MaxPoolResult maxpool2d_forward(const Tensor& x, std::int64_t k,
                                 const ConvParams& p) {
@@ -587,35 +773,51 @@ MaxPoolResult maxpool2d_forward(const Tensor& x, std::int64_t k,
 
   MaxPoolResult result;
   result.y = Tensor::empty(Shape{n, c, ho, wo});
-  result.argmax.assign(static_cast<std::size_t>(n * c * ho * wo), 0);
+  result.argmax.resize(static_cast<std::size_t>(n * c * ho * wo));
 
   const float* xp = x.data();
   float* yp = result.y.data();
   std::int32_t* am = result.argmax.data();
 
-  for (std::int64_t img = 0; img < n; ++img) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = xp + (img * c + ch) * h * w;
-      for (std::int64_t oy = 0; oy < ho; ++oy) {
-        for (std::int64_t ox = 0; ox < wo; ++ox) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = 0;
-          for (std::int64_t ki = 0; ki < k; ++ki) {
-            const std::int64_t iy = oy * p.stride - p.pad + ki;
-            if (iy < 0 || iy >= h) continue;
-            for (std::int64_t kj = 0; kj < k; ++kj) {
-              const std::int64_t ix = ox * p.stride - p.pad + kj;
-              if (ix < 0 || ix >= w) continue;
-              const float v = plane[iy * w + ix];
-              if (v > best) {
-                best = v;
-                best_idx = iy * w + ix;
-              }
+  // Output columns [ox_lo, ox_hi) have every tap inside the input row and
+  // skip the per-tap bounds check.
+  const std::int64_t s = p.stride;
+  const std::int64_t right = w + p.pad - k;
+  const std::int64_t ox_lo = std::min(wo, ceil_div(p.pad, s));
+  const std::int64_t ox_hi =
+      std::max(ox_lo, right < 0 ? 0 : std::min(wo, right / s + 1));
+
+  for (std::int64_t plane = 0; plane < n * c; ++plane) {
+    const float* in = xp + plane * h * w;
+    for (std::int64_t oy = 0; oy < ho; ++oy) {
+      float* best = yp + (plane * ho + oy) * wo;
+      std::int32_t* best_idx = am + (plane * ho + oy) * wo;
+      const std::int64_t iy0 = oy * s - p.pad;
+      // A window whose taps are all -inf or NaN keeps its first in-bounds
+      // tap, so its gradient stays inside the window.
+      for (std::int64_t ox = 0; ox < wo; ++ox) {
+        best[ox] = -std::numeric_limits<float>::infinity();
+        best_idx[ox] = static_cast<std::int32_t>(
+            std::clamp<std::int64_t>(iy0, 0, h - 1) * w +
+            std::clamp<std::int64_t>(ox * s - p.pad, 0, w - 1));
+      }
+      // Taps in (ki, kj) order with a strict >, as a per-window scan visits
+      // them: ties go to the first tap and NaN never wins.
+      for (std::int64_t ki = 0; ki < k; ++ki) {
+        const std::int64_t iy = iy0 + ki;
+        if (iy < 0 || iy >= h) continue;
+        const float* row = in + iy * w;
+        for (std::int64_t kj = 0; kj < k; ++kj) {
+          const std::int64_t off = kj - p.pad;
+          const auto visit_edge = [&](std::int64_t ox) {
+            const std::int64_t ix = ox * s + off;
+            if (ix >= 0 && ix < w) {
+              maxpool_tap(row, s, off, iy * w, ox, ox + 1, best, best_idx);
             }
-          }
-          const std::int64_t out_idx = ((img * c + ch) * ho + oy) * wo + ox;
-          yp[out_idx] = best;
-          am[out_idx] = static_cast<std::int32_t>(best_idx);
+          };
+          for (std::int64_t ox = 0; ox < ox_lo; ++ox) visit_edge(ox);
+          maxpool_tap(row, s, off, iy * w, ox_lo, ox_hi, best, best_idx);
+          for (std::int64_t ox = ox_hi; ox < wo; ++ox) visit_edge(ox);
         }
       }
     }

@@ -71,7 +71,9 @@ TEST(HeteroSolver, MinSlotsForRho) {
   for (const double rho : {1.1, 1.3, 1.7, 2.5}) {
     const int s = solver.min_free_slots_for_rho(rho);
     EXPECT_LE(solver.recompute_factor(s), rho + 1e-9);
-    if (s > 0) EXPECT_GT(solver.recompute_factor(s - 1), rho);
+    if (s > 0) {
+      EXPECT_GT(solver.recompute_factor(s - 1), rho);
+    }
   }
 }
 

@@ -222,7 +222,9 @@ TEST(Executor, MeasuredPeakTracksSlotCount) {
         executor.run(runner, revolve::make_schedule(20, s), input, seed);
     const std::size_t peak =
         result.peak_tracked_bytes - result.baseline_bytes;
-    if (prev != 0) EXPECT_GE(peak, prev);  // more slots -> more memory
+    if (prev != 0) {
+      EXPECT_GE(peak, prev);  // more slots -> more memory
+    }
     prev = peak;
   }
 }

@@ -22,8 +22,8 @@ GrayImage gradient_image(int h, int w) {
 }
 
 TEST(Codec, RoundTripPreservesDimensions) {
-  for (const auto [h, w] : {std::pair{8, 8}, std::pair{24, 24},
-                            std::pair{17, 31}, std::pair{224, 224}}) {
+  for (const auto& [h, w] : {std::pair{8, 8}, std::pair{24, 24},
+                             std::pair{17, 31}, std::pair{224, 224}}) {
     const GrayImage image = gradient_image(h, w);
     const GrayImage decoded = decode_image(encode_image(image, 50));
     EXPECT_EQ(decoded.height, h);

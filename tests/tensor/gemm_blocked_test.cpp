@@ -4,16 +4,20 @@
 // kNC=256 (cache tiles), so shapes are chosen to land on, just under and
 // just over every blocking edge, plus odd/prime shapes that exercise the
 // zero-padded fringe panels. Every trans_a/trans_b combination is crossed
-// with alpha, beta in {0, 1, 0.5}.
+// with alpha, beta in {0, 1, 0.5}. Narrow products (op(B) not transposed,
+// n <= 8) take an unpacked path that must give the blocked path's bits.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <random>
 #include <tuple>
 #include <vector>
 
+#include "tensor/convert.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/parallel.hpp"
 #include "tensor/tensor.hpp"
 
 namespace edgetrain::ops {
@@ -138,6 +142,107 @@ TEST(BlockedGemm, DegenerateKScalesCOnly) {
   for (std::int64_t i = 0; i < c.numel(); ++i) {
     EXPECT_FLOAT_EQ(c.data()[i], 1.5F);
   }
+}
+
+/// gemm for either element type: fp32 through gemm, bf16 through gemm_bf16.
+void gemm_any(bool ta, std::int64_t m, std::int64_t n, std::int64_t k,
+              float alpha, const float* a, const float* b, float beta,
+              float* c) {
+  gemm(ta, false, m, n, k, alpha, a, b, beta, c);
+}
+void gemm_any(bool ta, std::int64_t m, std::int64_t n, std::int64_t k,
+              float alpha, const std::uint16_t* a, const std::uint16_t* b,
+              float beta, float* c) {
+  gemm_bf16(ta, false, m, n, k, alpha, a, b, beta, c);
+}
+
+/// Fuzzes narrow products against the blocked path with no test hook: the
+/// blocked path computes every column of C in the same order whatever n
+/// is, so B (k x n, n <= 8) embedded in the first n columns of a random
+/// k x 16 B' must give, bit for bit, the first n columns of the n = 16
+/// product (which the narrow path never takes).
+template <typename T>
+void fuzz_narrow_against_blocked(const std::vector<T>& a_pool,
+                                 const std::vector<T>& b_wide,
+                                 const std::vector<float>& c_wide0,
+                                 std::mt19937& rng) {
+  constexpr std::int64_t kWide = 16;
+  const std::int64_t kMs[] = {1, 7, 8, 9, 15, 16, 17, 511, 512, 513};
+  const std::int64_t kKs[] = {1, 4, 255, 256, 257, 600, 2304, 4608};
+  const float kScalars[] = {0.0F, 1.0F, 0.5F, -2.0F};
+  std::uniform_int_distribution<int> pick(0, 3);
+  for (const std::int64_t m : kMs) {
+    for (const std::int64_t k : kKs) {
+      for (const bool ta : {false, true}) {
+        for (std::int64_t n = 1; n <= 8; ++n) {
+          const float alpha = kScalars[pick(rng)];
+          const float beta = kScalars[pick(rng)];
+          std::vector<T> b(static_cast<std::size_t>(k * n));
+          for (std::int64_t p = 0; p < k; ++p) {
+            for (std::int64_t j = 0; j < n; ++j) {
+              b[static_cast<std::size_t>(p * n + j)] =
+                  b_wide[static_cast<std::size_t>(p * kWide + j)];
+            }
+          }
+          std::vector<float> c_wide(c_wide0.begin(),
+                                    c_wide0.begin() + m * kWide);
+          std::vector<float> c(static_cast<std::size_t>(m * n));
+          for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t j = 0; j < n; ++j) {
+              c[static_cast<std::size_t>(i * n + j)] =
+                  c_wide[static_cast<std::size_t>(i * kWide + j)];
+            }
+          }
+          gemm_any(ta, m, kWide, k, alpha, a_pool.data(), b_wide.data(),
+                   beta, c_wide.data());
+          gemm_any(ta, m, n, k, alpha, a_pool.data(), b.data(), beta,
+                   c.data());
+          std::int64_t mismatched_rows = 0;
+          for (std::int64_t i = 0; i < m; ++i) {
+            if (std::memcmp(&c[static_cast<std::size_t>(i * n)],
+                            &c_wide[static_cast<std::size_t>(i * kWide)],
+                            static_cast<std::size_t>(n) * sizeof(float)) !=
+                0) {
+              ++mismatched_rows;
+            }
+          }
+          EXPECT_EQ(mismatched_rows, 0)
+              << "m=" << m << " n=" << n << " k=" << k << " ta=" << ta
+              << " alpha=" << alpha << " beta=" << beta
+              << " threads=" << ThreadPool::global().size();
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockedGemm, NarrowNMatchesBlockedBitForBit) {
+  constexpr std::int64_t kMaxM = 513;
+  constexpr std::int64_t kMaxK = 4608;
+  std::mt19937 rng(27);
+  std::normal_distribution<float> normal;
+  // A is drawn once at the largest m x k; smaller shapes read a prefix,
+  // which is just as random in either layout.
+  std::vector<float> a(static_cast<std::size_t>(kMaxM * kMaxK));
+  std::vector<float> b_wide(static_cast<std::size_t>(kMaxK * 16));
+  std::vector<float> c_wide0(static_cast<std::size_t>(kMaxM * 16));
+  for (float& v : a) v = normal(rng);
+  for (float& v : b_wide) v = normal(rng);
+  for (float& v : c_wide0) v = normal(rng);
+  std::vector<std::uint16_t> a_bf16(a.size());
+  std::vector<std::uint16_t> b_wide_bf16(b_wide.size());
+  convert::fp32_to_bf16(a.data(), a_bf16.data(),
+                        static_cast<std::int64_t>(a.size()));
+  convert::fp32_to_bf16(b_wide.data(), b_wide_bf16.data(),
+                        static_cast<std::int64_t>(b_wide.size()));
+  // The row-group grid depends on m alone; pool sizes 2 and 3 split it
+  // unevenly and must not change a bit.
+  for (const unsigned threads : {1U, 2U, 3U}) {
+    ThreadPool::set_global_threads(threads);
+    fuzz_narrow_against_blocked(a, b_wide, c_wide0, rng);
+    fuzz_narrow_against_blocked(a_bf16, b_wide_bf16, c_wide0, rng);
+  }
+  ThreadPool::set_global_threads(0);
 }
 
 }  // namespace

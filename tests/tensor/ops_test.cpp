@@ -4,6 +4,8 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <type_traits>
 #include <vector>
@@ -246,6 +248,154 @@ TEST(MaxPool, ForwardPicksMaxAndBackwardRoutes) {
   float total = 0.0F;
   for (std::int64_t i = 0; i < gx.numel(); ++i) total += gx.at(i);
   EXPECT_FLOAT_EQ(total, 4.0F);  // all gradient mass routed
+}
+
+/// Special values for the bitwise activation/pooling checks.
+const std::array<float, 10>& special_values() {
+  static const std::array<float, 10> kValues = {
+      0.0F,  -0.0F, 1.0F, -1.0F, std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN(),
+      -std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::denorm_min(), 2.5F};
+  return kValues;
+}
+
+/// Fills x with a mix of special values and a few small integers, so that
+/// ties, signed zeros, infinities and NaNs all occur often.
+void fill_special(Tensor& x, std::mt19937& rng, bool finite_only) {
+  std::uniform_int_distribution<int> pick(0, 13);
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    const int v = pick(rng);
+    float value = static_cast<float>(v - 11);  // -1, 0, 1, 2 for v >= 10
+    if (v < 10) value = special_values()[static_cast<std::size_t>(v)];
+    if (finite_only && !std::isfinite(value)) value = 0.5F;
+    x.data()[i] = value;
+  }
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST(Relu, BackwardMatchesMaskedLoopBitForBit) {
+  // More than one 1<<16 parallel grain, and a length no vector width
+  // divides. The result must equal the branchy loop's bits: gy where
+  // y > 0, +0.0f where y <= 0 or y is NaN.
+  std::mt19937 rng(11);
+  Tensor y = Tensor::empty(Shape{70001});
+  Tensor gy = Tensor::empty(Shape{70001});
+  fill_special(y, rng, false);
+  fill_special(gy, rng, false);
+  Tensor want = Tensor::empty(y.shape());
+  for (std::int64_t i = 0; i < y.numel(); ++i) {
+    want.data()[i] = y.data()[i] > 0.0F ? gy.data()[i] : 0.0F;
+  }
+  EXPECT_TRUE(same_bits(relu_backward(gy, y), want));
+}
+
+/// Today's per-window scan, kept here as the reference: strict > in
+/// (ki, kj) order from -inf, argmax starting at element 0.
+MaxPoolResult reference_maxpool(const Tensor& x, std::int64_t k,
+                                const ConvParams& p) {
+  const std::int64_t planes = x.shape()[0] * x.shape()[1];
+  const std::int64_t h = x.shape()[2];
+  const std::int64_t w = x.shape()[3];
+  const std::int64_t ho = conv_out_size(h, k, p.stride, p.pad);
+  const std::int64_t wo = conv_out_size(w, k, p.stride, p.pad);
+  MaxPoolResult r;
+  r.y = Tensor::empty(Shape{x.shape()[0], x.shape()[1], ho, wo});
+  r.argmax.assign(static_cast<std::size_t>(planes * ho * wo), 0);
+  for (std::int64_t pl = 0; pl < planes; ++pl) {
+    const float* plane = x.data() + pl * h * w;
+    for (std::int64_t oy = 0; oy < ho; ++oy) {
+      for (std::int64_t ox = 0; ox < wo; ++ox) {
+        float best = -std::numeric_limits<float>::infinity();
+        std::int64_t best_idx = 0;
+        for (std::int64_t ki = 0; ki < k; ++ki) {
+          const std::int64_t iy = oy * p.stride - p.pad + ki;
+          if (iy < 0 || iy >= h) continue;
+          for (std::int64_t kj = 0; kj < k; ++kj) {
+            const std::int64_t ix = ox * p.stride - p.pad + kj;
+            if (ix < 0 || ix >= w) continue;
+            if (plane[iy * w + ix] > best) {
+              best = plane[iy * w + ix];
+              best_idx = iy * w + ix;
+            }
+          }
+        }
+        const std::int64_t out = (pl * ho + oy) * wo + ox;
+        r.y.data()[out] = best;
+        r.argmax[static_cast<std::size_t>(out)] =
+            static_cast<std::int32_t>(best_idx);
+      }
+    }
+  }
+  return r;
+}
+
+TEST(MaxPool, ForwardMatchesPerWindowScanBitForBit) {
+  struct Case {
+    Shape shape;
+    std::int64_t k;
+    ConvParams p;
+  };
+  const Case cases[] = {
+      {Shape{1, 64, 32, 32}, 3, ConvParams{2, 1}},  // ResNet stem
+      {Shape{2, 3, 9, 11}, 3, ConvParams{2, 1}},
+      {Shape{2, 3, 9, 11}, 2, ConvParams{2, 0}},
+      {Shape{1, 2, 7, 8}, 3, ConvParams{1, 1}},
+      {Shape{1, 2, 7, 8}, 3, ConvParams{2, 0}},
+      {Shape{1, 2, 5, 6}, 2, ConvParams{1, 1}},
+      {Shape{1, 1, 3, 3}, 3, ConvParams{1, 1}},
+  };
+  std::mt19937 rng(12);
+  for (const bool finite_only : {true, false}) {
+    for (const Case& t : cases) {
+      Tensor x = Tensor::empty(t.shape);
+      fill_special(x, rng, finite_only);
+      const MaxPoolResult got = maxpool2d_forward(x, t.k, t.p);
+      const MaxPoolResult want = reference_maxpool(x, t.k, t.p);
+      ASSERT_TRUE(same_bits(got.y, want.y)) << "k=" << t.k;
+      ASSERT_EQ(got.argmax.size(), want.argmax.size());
+      const std::int64_t w = t.shape[3];
+      const std::int64_t wo = want.y.shape()[3];
+      const std::int64_t ho = want.y.shape()[2];
+      for (std::size_t i = 0; i < want.argmax.size(); ++i) {
+        if (want.y.data()[i] > -std::numeric_limits<float>::infinity()) {
+          EXPECT_EQ(got.argmax[i], want.argmax[i]) << "output " << i;
+          continue;
+        }
+        // No tap beat -inf: the argmax is the window's first in-bounds
+        // tap, not element 0 of the plane.
+        ASSERT_FALSE(finite_only);
+        const auto out = static_cast<std::int64_t>(i);
+        const std::int64_t oy = (out / wo) % ho;
+        const std::int64_t ox = out % wo;
+        const std::int64_t iy =
+            std::max<std::int64_t>(0, oy * t.p.stride - t.p.pad);
+        const std::int64_t ix =
+            std::max<std::int64_t>(0, ox * t.p.stride - t.p.pad);
+        EXPECT_EQ(got.argmax[i], iy * w + ix) << "output " << i;
+      }
+    }
+  }
+}
+
+TEST(MaxPool, AllNegInfWindowRoutesGradientInsideWindow) {
+  Tensor x = Tensor::full(Shape{1, 1, 4, 4},
+                          -std::numeric_limits<float>::infinity());
+  MaxPoolResult r = maxpool2d_forward(x, 2, ConvParams{2, 0});
+  ASSERT_EQ(r.argmax.size(), 4U);
+  EXPECT_EQ(r.argmax[0], 0);
+  EXPECT_EQ(r.argmax[1], 2);
+  EXPECT_EQ(r.argmax[2], 8);
+  EXPECT_EQ(r.argmax[3], 10);
+  Tensor gy = Tensor::full(Shape{1, 1, 2, 2}, 1.0F);
+  Tensor gx = maxpool2d_backward(gy, r.argmax, x.shape());
+  for (const std::int64_t i : {0, 2, 8, 10}) EXPECT_FLOAT_EQ(gx.at(i), 1.0F);
 }
 
 TEST(GlobalAvgPool, ForwardBackward) {

@@ -86,8 +86,8 @@ TEST(Bf16, BulkMatchesScalar) {
 // --------------------------------------------------------------------------
 
 TEST(QuantizeU8, ZeroPointRepresentsExactZero) {
-  for (const auto [lo, hi] : {std::pair{-3.0F, 5.0F}, {0.0F, 9.0F},
-                              {-7.0F, 0.0F}, {2.0F, 4.0F}, {-5.0F, -1.0F}}) {
+  for (const auto& [lo, hi] : {std::pair{-3.0F, 5.0F}, {0.0F, 9.0F},
+                               {-7.0F, 0.0F}, {2.0F, 4.0F}, {-5.0F, -1.0F}}) {
     const quant::QuantParams p = quant::choose_u8_params(lo, hi);
     EXPECT_GE(p.zero_point, 0);
     EXPECT_LE(p.zero_point, 255);
