@@ -29,12 +29,12 @@
 #include <string>
 #include <vector>
 
-#include "analysis/interp.hpp"
 #include "bench_json.hpp"
 #include "calib/calibrate.hpp"
 #include "calib/chain_costs.hpp"
 #include "core/dynprog.hpp"
 #include "core/executor.hpp"
+#include "core/replay.hpp"
 #include "core/revolve.hpp"
 #include "core/tiered_slot_store.hpp"
 #include "models/small_nets.hpp"
@@ -98,11 +98,11 @@ int main(int argc, char** argv) {
   const core::hetero::HeteroSolver solver(costs.forward_us, kFreeSlots);
   const core::Schedule measured_schedule = solver.make_schedule(kFreeSlots);
 
-  const analysis::CostModel cost_model = calib::cost_model(costs, model);
+  const core::CostModel cost_model = calib::cost_model(costs, model);
   const double unit_predicted_us =
-      analysis::interpret(unit_schedule, cost_model).facts.total_cost();
+      core::interpret(unit_schedule, cost_model).facts.total_cost();
   const double measured_predicted_us =
-      analysis::interpret(measured_schedule, cost_model).facts.total_cost();
+      core::interpret(measured_schedule, cost_model).facts.total_cost();
 
   // --- execute both, timed, gradients compared -----------------------------
   const core::LossGradFn seed = [](const Tensor& output) {

@@ -59,15 +59,16 @@ void json_counts(std::ostream& os,
   os << '}';
 }
 
-void json_findings(std::ostream& os, const std::vector<Finding>& findings) {
+void json_findings(std::ostream& os,
+                   const std::vector<core::Finding>& findings) {
   os << '[';
   for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
+    const core::Finding& f = findings[i];
     if (i != 0) os << ',';
     os << "{\"severity\":"
-       << (f.severity == Severity::Error ? "\"error\"" : "\"warning\"")
+       << (f.severity == core::Severity::Error ? "\"error\"" : "\"warning\"")
        << ",\"check\":";
-    json_escape(os, to_string(f.check));
+    json_escape(os, core::to_string(f.check));
     os << ",\"position\":" << f.position << ",\"detail\":";
     json_escape(os, f.detail);
     os << '}';
@@ -77,16 +78,17 @@ void json_findings(std::ostream& os, const std::vector<Finding>& findings) {
 
 }  // namespace
 
-void SweepReport::add(const SweepCase& sweep_case, const Report& report) {
+void SweepReport::add(const SweepCase& sweep_case,
+                      const core::Report& report) {
   ++total_cases_;
   FamilyStats& fam = families_[sweep_case.family];
   ++fam.cases;
   bool has_error = false;
   bool has_warning = false;
-  for (const Finding& f : report.findings) {
-    ++findings_by_check_[to_string(f.check)];
-    ++fam.findings_by_check[to_string(f.check)];
-    if (f.severity == Severity::Error) {
+  for (const core::Finding& f : report.findings) {
+    ++findings_by_check_[core::to_string(f.check)];
+    ++fam.findings_by_check[core::to_string(f.check)];
+    if (f.severity == core::Severity::Error) {
       has_error = true;
     } else {
       has_warning = true;
@@ -107,15 +109,16 @@ void SweepReport::add(const SweepCase& sweep_case, const Report& report) {
 }
 
 void SweepReport::add_injection(const SweepCase& sweep_case,
-                                Corruption corruption, const Report& report) {
+                                Corruption corruption,
+                                const core::Report& report) {
   InjectionRecord record;
   record.family = sweep_case.family;
   record.name = sweep_case.name;
   record.corruption = to_string(corruption);
-  for (const Finding& f : report.findings) {
-    if (f.severity != Severity::Error) continue;
+  for (const core::Finding& f : report.findings) {
+    if (f.severity != core::Severity::Error) continue;
     record.detected = true;
-    const std::string check = to_string(f.check);
+    const std::string check = core::to_string(f.check);
     if (std::find(record.checks_fired.begin(), record.checks_fired.end(),
                   check) == record.checks_fired.end()) {
       record.checks_fired.push_back(check);
@@ -218,10 +221,10 @@ std::string SweepReport::summary() const {
   }
   for (const CaseRecord& r : failures_) {
     os << "FAIL " << r.family << " [" << r.name << "]\n";
-    for (const Finding& f : r.findings) {
-      if (f.severity != Severity::Error) continue;
-      os << "  " << to_string(f.check) << " at action " << f.position << ": "
-         << f.detail << '\n';
+    for (const core::Finding& f : r.findings) {
+      if (f.severity != core::Severity::Error) continue;
+      os << "  " << core::to_string(f.check) << " at action " << f.position
+         << ": " << f.detail << '\n';
     }
   }
   return os.str();

@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/interp.hpp"
 #include "analysis/sweep.hpp"
+#include "core/replay.hpp"
 
 namespace edgetrain::analysis {
 
@@ -23,7 +23,7 @@ struct CaseRecord {
   std::string family;
   std::string name;
   core::ScheduleStats facts;
-  std::vector<Finding> findings;
+  std::vector<core::Finding> findings;
 };
 
 /// One fault-injection outcome: did the interpreter reject the corrupted
@@ -51,12 +51,12 @@ class SweepReport {
   static constexpr std::size_t kMaxDetailedFailures = 64;
 
   /// Records one clean-schedule verdict.
-  void add(const SweepCase& sweep_case, const Report& report);
+  void add(const SweepCase& sweep_case, const core::Report& report);
 
   /// Records one fault-injection verdict. @p report is the interpreter's
   /// verdict on the corrupted schedule; detection means >= 1 error finding.
   void add_injection(const SweepCase& sweep_case, Corruption corruption,
-                     const Report& report);
+                     const core::Report& report);
 
   [[nodiscard]] std::int64_t total_cases() const noexcept {
     return total_cases_;

@@ -274,10 +274,10 @@ std::int64_t sweep_disk(const SweepConfig& config, const CaseVisitor& visit) {
           oc.cost.write_staging_slots = 1;
           oc.cost.read_staging_slots = 1;
           oc.schedule = ov_solver.make_schedule();
-          CostModel serial = oc.cost;
+          core::CostModel serial = oc.cost;
           serial.overlapped_io = false;
-          const Report serial_report =
-              interpret(oc.schedule, serial, Bounds{});
+          const core::Report serial_report =
+              core::interpret(oc.schedule, serial, core::Bounds{});
           oc.bounds.max_total_cost = serial_report.facts.total_cost();
           oc.bounds.max_memory_units =
               ov_rs + 1 + oc.cost.write_staging_slots;
@@ -542,7 +542,8 @@ std::optional<Schedule> corrupt_inflate_work(const SweepCase& sweep_case) {
     if (restore.index >= schedule.num_steps()) continue;
     // Budget-aware churn: advance one step off the checkpoint and restore
     // again until the charged work provably exceeds the promise.
-    const Report clean = interpret(schedule, sweep_case.cost, Bounds{});
+    const core::Report clean =
+        core::interpret(schedule, sweep_case.cost, core::Bounds{});
     // Under the overlapped model a restore's read may hide entirely under
     // compute, and the injected compute can even *shrink* the original
     // schedule's stalls (the worker gets more slack). The only guaranteed

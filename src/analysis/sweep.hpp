@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/interp.hpp"
+#include "core/replay.hpp"
 #include "core/schedule.hpp"
 
 namespace edgetrain::analysis {
@@ -35,8 +35,8 @@ struct SweepCase {
   std::string family;
   std::string name;    ///< human-readable parameter string
   core::Schedule schedule;
-  CostModel cost;
-  Bounds bounds;
+  core::CostModel cost;
+  core::Bounds bounds;
 };
 
 /// Grid sizes for one sweep. Defaults give the full CI gate (> 1000

@@ -21,10 +21,6 @@ double ChainCosts::backward_total_us() const {
   return std::accumulate(backward_us.begin(), backward_us.end(), 0.0);
 }
 
-double ChainCosts::ideal_step_us() const {
-  return sweep_us() + backward_total_us();
-}
-
 double ChainCosts::mean_forward_us() const {
   return forward_us.empty()
              ? 0.0
@@ -40,12 +36,6 @@ double ChainCosts::mean_boundary_bytes() const {
   if (boundary_bytes.empty()) return 0.0;
   return std::accumulate(boundary_bytes.begin(), boundary_bytes.end(), 0.0) /
          static_cast<double>(boundary_bytes.size());
-}
-
-double ChainCosts::max_boundary_bytes() const {
-  return boundary_bytes.empty()
-             ? 0.0
-             : *std::max_element(boundary_bytes.begin(), boundary_bytes.end());
 }
 
 bool ChainCosts::valid() const {
@@ -225,14 +215,6 @@ std::vector<int> state_units(const ChainCosts& costs) {
     units.push_back(static_cast<int>(std::ceil(bytes / unit - 1e-9)));
   }
   return units;
-}
-
-int budget_units_for_bytes(const ChainCosts& costs, double budget_bytes) {
-  if (costs.boundary_bytes.empty() || budget_bytes <= 0.0) return 0;
-  const double unit =
-      *std::min_element(costs.boundary_bytes.begin(),
-                        costs.boundary_bytes.end());
-  return static_cast<int>(budget_bytes / unit);
 }
 
 core::ChainSpec measured_chain_spec(std::string name, const ChainCosts& costs,

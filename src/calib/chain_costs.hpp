@@ -57,14 +57,11 @@ struct ChainCosts {
   /// One un-checkpointed forward sweep, microseconds.
   [[nodiscard]] double sweep_us() const;
   [[nodiscard]] double backward_total_us() const;
-  /// The rho = 1 training step: sweep + full backward.
-  [[nodiscard]] double ideal_step_us() const;
   [[nodiscard]] double mean_forward_us() const;
   /// Measured backward/forward cost ratio (the paper's bwd_ratio, but
   /// observed instead of assumed 1).
   [[nodiscard]] double backward_ratio() const;
   [[nodiscard]] double mean_boundary_bytes() const;
-  [[nodiscard]] double max_boundary_bytes() const;
 
   /// True when sizes are consistent and every cost is positive.
   [[nodiscard]] bool valid() const;
@@ -107,10 +104,6 @@ struct MeasureOptions {
 /// Boundary sizes as integer budget units for the byte-budget HeteroSolver:
 /// one unit = the smallest boundary's bytes, each state rounded up.
 [[nodiscard]] std::vector<int> state_units(const ChainCosts& costs);
-
-/// The checkpoint budget @p budget_bytes expressed in the same units.
-[[nodiscard]] int budget_units_for_bytes(const ChainCosts& costs,
-                                         double budget_bytes);
 
 /// MemoryPlanner chain description carrying the measured per-step costs:
 /// plan selection and achieved_rho are then computed by the heterogeneous

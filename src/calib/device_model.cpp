@@ -42,10 +42,6 @@ bool DeviceModel::valid() const {
   return true;
 }
 
-int DeviceModel::calibrated_threads() const {
-  return points.empty() ? 0 : points.back().threads;
-}
-
 int DeviceModel::best_threads() const {
   int best = 1;
   double best_gflops = 0.0;
@@ -115,10 +111,6 @@ double DeviceModel::s8_gemm_us(double ops, int threads) const {
   const double gops = s8_gemm_gops_at(threads);
   if (gops > 0.0) return ops / (gops * 1e9) * 1e6;
   return gemm_us(ops, threads);  // unmeasured: conservative fp32 rate
-}
-
-double DeviceModel::memcpy_us(double bytes) const {
-  return memcpy_bytes_per_sec > 0.0 ? bytes / memcpy_bytes_per_sec * 1e6 : 0.0;
 }
 
 double DeviceModel::disk_write_us(double bytes) const {

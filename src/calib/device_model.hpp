@@ -68,9 +68,6 @@ struct DeviceModel {
   /// throughput strictly positive, latencies non-negative.
   [[nodiscard]] bool valid() const;
 
-  /// Largest measured thread count.
-  [[nodiscard]] int calibrated_threads() const;
-
   /// Thread count with the highest conv throughput (the setting a trainer
   /// should pin the pool to).
   [[nodiscard]] int best_threads() const;
@@ -92,8 +89,7 @@ struct DeviceModel {
   [[nodiscard]] double bf16_gemm_us(double flops, int threads) const;
   [[nodiscard]] double s8_gemm_us(double ops, int threads) const;
 
-  /// Predicted microseconds to copy / spill-write / spill-read @p bytes.
-  [[nodiscard]] double memcpy_us(double bytes) const;
+  /// Predicted microseconds to spill-write / spill-read @p bytes.
   [[nodiscard]] double disk_write_us(double bytes) const;
   [[nodiscard]] double disk_read_us(double bytes) const;
 };

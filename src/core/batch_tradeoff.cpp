@@ -21,25 +21,24 @@ BatchTradeoffPlanner::BatchTradeoffPlanner(BatchTradeoffConfig config)
 BatchPoint BatchTradeoffPlanner::evaluate(std::int64_t batch) const {
   BatchPoint point;
   point.batch = batch;
-  const double slot_bytes =
+  const double act_bytes =
       static_cast<double>(batch) * config_.act_bytes_per_sample;
-  const double room = config_.capacity_bytes - config_.fixed_bytes;
-  const int affordable = room > slot_bytes
-                             ? static_cast<int>(room / slot_bytes)
-                             : 0;
-  if (affordable < 1) {
+  const int fit = config_.pricing.max_free_slots(
+      config_.capacity_bytes, config_.fixed_bytes, act_bytes);
+  if (fit < 0) {
     point.feasible = false;
     point.time_per_sample = std::numeric_limits<double>::infinity();
     return point;
   }
   point.feasible = true;
-  point.total_slots = std::min(affordable, config_.depth);
-  const int free_slots = point.total_slots - 1;
+  const int free_slots = std::min(fit, config_.depth - 1);
+  point.total_slots = free_slots + 1;
   const std::int64_t forwards = table_.forward_cost(config_.depth, free_slots);
   point.rho = static_cast<double>(forwards + config_.depth) /
               (2.0 * static_cast<double>(config_.depth));
   point.peak_bytes =
-      config_.fixed_bytes + static_cast<double>(point.total_slots) * slot_bytes;
+      config_.fixed_bytes +
+      (1.0 + config_.pricing.units(free_slots)) * act_bytes;
 
   const double e = config_.efficiency_exponent;
   if (e > 0.0) {

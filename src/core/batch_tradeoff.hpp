@@ -13,13 +13,16 @@
 //     t(k) = t1 * (2 rho(k) / 2) / eff(k),   eff(k) = k^e / (k^e + c)
 // normalised so the reported times are relative to (batch 1, rho achieved
 // at batch 1). The sweep exposes the paper's point: the optimal batch under
-// checkpointing is typically well above 1 even though rho grows.
+// checkpointing is typically well above 1 even though rho grows. Slots and
+// peaks follow MemoryPlanner's rule (core/slot_pricing.hpp): at batch k
+// with s free slots the peak is fixed + (1 + units(s)) * k * M_A.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/revolve.hpp"
+#include "core/slot_pricing.hpp"
 
 namespace edgetrain::core {
 
@@ -32,6 +35,9 @@ struct BatchTradeoffConfig {
   /// eff(k) = k^e / (k^e + c); e = 0 disables the efficiency bonus.
   double efficiency_exponent = 1.0;
   double efficiency_half_batch = 4.0;
+  /// Resting-slot pricing; the live frontier activation is always
+  /// plaintext. The default prices every slot at 1 (uncompressed).
+  SlotPricing pricing;
 };
 
 struct BatchPoint {

@@ -111,13 +111,6 @@ ExecutionResult ScheduleExecutor::run(ChainRunner& runner,
   return result;
 }
 
-ExecutionResult ScheduleExecutor::run_full_storage(
-    ChainRunner& runner, const Tensor& input,
-    const LossGradFn& loss_grad) const {
-  return run(runner, full_storage_schedule(runner.num_steps()), input,
-             loss_grad);
-}
-
 Schedule full_storage_schedule(int num_steps) {
   Schedule sched(num_steps, 1);
   sched.store(0, 0);

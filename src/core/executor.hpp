@@ -95,11 +95,6 @@ class ScheduleExecutor {
                                     SlotStore& store,
                                     const ExecutorHooks& hooks) const;
 
-  /// Convenience: full-storage execution (ForwardSave every step, then
-  /// backward), the rho = 1 baseline.
-  [[nodiscard]] ExecutionResult run_full_storage(ChainRunner& runner,
-                                                 const Tensor& input,
-                                                 const LossGradFn& loss_grad) const;
 };
 
 /// Builds the full-storage schedule for an l-step chain (slot 0 holds the

@@ -147,15 +147,6 @@ int min_free_slots_for_rho(int num_steps, double rho_budget) {
   return min_free_slots_for_rho(table, num_steps, rho_budget);
 }
 
-int min_free_slots_for_cost(int num_steps, std::int64_t max_forwards) {
-  if (max_forwards < num_steps) return -1;
-  const RevolveTable table(num_steps, std::max(num_steps - 1, 0));
-  for (int s = 0; s <= num_steps - 1; ++s) {
-    if (table.forward_cost(num_steps, s) <= max_forwards) return s;
-  }
-  return num_steps - 1;
-}
-
 Schedule make_schedule(int num_steps, int free_slots) {
   if (num_steps < 1) throw std::invalid_argument("make_schedule: l < 1");
   free_slots = std::clamp(free_slots, 0, std::max(num_steps - 1, 0));

@@ -104,11 +104,6 @@ class RevolveTable {
 [[nodiscard]] int min_free_slots_for_rho(const RevolveTable& table,
                                          int num_steps, double rho_budget);
 
-/// Smallest s such that F(l, s) <= max_forwards; -1 if unachievable
-/// (max_forwards < l).
-[[nodiscard]] int min_free_slots_for_cost(int num_steps,
-                                          std::int64_t max_forwards);
-
 /// Generates the executor-dialect schedule realising F(l, s): slot 0 holds
 /// the chain input, slots 1..s are the free checkpoints, every Backward is
 /// preceded by its re-materialising ForwardSave. The result validates and

@@ -25,17 +25,17 @@ std::string to_string(Feasibility feasibility) {
 
 namespace {
 
-/// Batch suggestion once a per-slot byte cost is settled.
-void fill_batch(const StrategyRequest& request, double slot_byte_factor,
+/// Batch suggestion once the resting-slot pricing is settled.
+void fill_batch(const StrategyRequest& request, const SlotPricing& pricing,
                 StrategyRecommendation& rec) {
   BatchTradeoffConfig config;
   config.depth = request.chain.depth;
   config.capacity_bytes = request.device_memory_bytes;
   config.fixed_bytes = request.chain.fixed_bytes;
-  config.act_bytes_per_sample =
-      request.chain.activation_bytes_per_step * slot_byte_factor;
+  config.act_bytes_per_sample = request.chain.activation_bytes_per_step;
   config.efficiency_exponent = request.efficiency_exponent;
   config.efficiency_half_batch = request.efficiency_half_batch;
+  config.pricing = pricing;
   const BatchTradeoffPlanner planner(config);
   const BatchPoint best = planner.best(request.max_batch);
   if (best.feasible) {
@@ -74,7 +74,7 @@ StrategyRecommendation recommend_strategy(const StrategyRequest& request) {
     why << chain.name << " fits at rho=1 ("
         << report.no_checkpoint_bytes / 1048576.0 << " MB of "
         << capacity / 1048576.0 << " MB); checkpointing is optional.";
-    fill_batch(request, 1.0, rec);
+    fill_batch(request, SlotPricing{}, rec);
   } else if (report.fits_with_checkpointing &&
              report.min_rho_to_fit <= request.rho_budget) {
     rec.feasibility = Feasibility::FitsWithCheckpointing;
@@ -84,7 +84,7 @@ StrategyRecommendation recommend_strategy(const StrategyRequest& request) {
     why << chain.name << " fits with " << report.recommended.total_slots
         << " Revolve checkpoints at rho=" << rec.rho << " (budget "
         << request.rho_budget << ").";
-    fill_batch(request, 1.0, rec);
+    fill_batch(request, SlotPricing{}, rec);
   } else {
     // Try fp16 checkpoint compression: halves every resting slot, while
     // the live frontier activation stays plaintext.
@@ -103,7 +103,7 @@ StrategyRecommendation recommend_strategy(const StrategyRequest& request) {
           << " half-precision checkpoints reach rho=" << rec.rho
           << " within the budget (full precision needs rho="
           << report.min_rho_to_fit << ").";
-      fill_batch(request, 0.5, rec);
+      fill_batch(request, half.pricing, rec);
     } else if (request.has_local_storage &&
                report.fits_with_checkpointing) {
       // Disk spill keeps only the frontier + one slot in RAM.
@@ -116,7 +116,7 @@ StrategyRecommendation recommend_strategy(const StrategyRequest& request) {
           << "checkpoints to local storage keeps only ~2 activations "
           << "resident (plus IO latency; see core/disk_revolve.hpp for the "
           << "cost model).";
-      fill_batch(request, 1.0, rec);
+      fill_batch(request, SlotPricing{}, rec);
     } else {
       rec.feasibility = Feasibility::Infeasible;
       why << chain.name << " does not fit: even the most frugal schedule "

@@ -25,46 +25,9 @@ EdgeDevice EdgeDevice::waggle_odroid_xu4() {
   return d;
 }
 
-EdgeDevice EdgeDevice::raspberry_pi4() {
-  EdgeDevice d;
-  d.name = "Raspberry Pi 4 (4GB)";
-  d.memory_bytes = 4 * kGiB;
-  d.big_cores = 4;
-  d.little_cores = 0;
-  d.peak_gflops = 13.5;
-  d.storage_bytes = 64 * kGiB;
-  d.storage_write_mbps = 25.0;
-  d.storage_read_mbps = 90.0;
-  d.uplink_mbps = 10.0;
-  d.compute_watts = 7.0;
-  d.radio_watts_per_mbps = 0.4;
-  return d;
-}
-
-EdgeDevice EdgeDevice::jetson_nano() {
-  EdgeDevice d;
-  d.name = "Jetson Nano (4GB)";
-  d.memory_bytes = 4 * kGiB;
-  d.big_cores = 4;
-  d.little_cores = 0;
-  d.peak_gflops = 470.0;  // fp16/fp32 mix on the Maxwell GPU
-  d.storage_bytes = 128 * kGiB;
-  d.storage_write_mbps = 40.0;
-  d.storage_read_mbps = 100.0;
-  d.uplink_mbps = 50.0;
-  d.compute_watts = 10.0;
-  d.radio_watts_per_mbps = 0.3;
-  return d;
-}
-
 double EdgeDevice::uplink_seconds(double bytes) const {
   if (uplink_mbps <= 0.0) throw std::logic_error("device has no uplink");
   return bytes * 8.0 / (uplink_mbps * 1e6);
-}
-
-double EdgeDevice::storage_write_seconds(double bytes) const {
-  if (storage_write_mbps <= 0.0) throw std::logic_error("device has no storage");
-  return bytes / (storage_write_mbps * kMiB);
 }
 
 double EdgeDevice::disk_write_cost_units(double checkpoint_bytes,

@@ -1,10 +1,9 @@
 // edgetrain: edge-device models (paper Section II).
 //
 // Parameterises the hardware the paper targets: the Waggle node's payload
-// computer (ODROID XU4: Exynos 5422, 4xA15 + 4xA7, 2 GB LPDDR3, SD storage)
-// plus a couple of comparison points. Device specs feed the planner
-// (memory), the task scheduler (cores), the storage model (SD card) and the
-// power model (compute vs radio energy).
+// computer (ODROID XU4: Exynos 5422, 4xA15 + 4xA7, 2 GB LPDDR3, SD storage).
+// Device specs feed the planner (memory), the task scheduler (cores), the
+// storage model (SD card) and the power model (compute vs radio energy).
 #pragma once
 
 #include <cstdint>
@@ -27,20 +26,12 @@ struct EdgeDevice {
 
   /// The Waggle node's ODROID XU4 payload board (paper Section II).
   [[nodiscard]] static EdgeDevice waggle_odroid_xu4();
-  /// A Raspberry Pi 4 (4 GB) class device, for comparison sweeps.
-  [[nodiscard]] static EdgeDevice raspberry_pi4();
-  /// A Jetson-Nano class device (4 GB, small GPU folded into gflops).
-  [[nodiscard]] static EdgeDevice jetson_nano();
-
   [[nodiscard]] int total_cores() const noexcept {
     return big_cores + little_cores;
   }
 
   /// Seconds to move @p bytes over the uplink.
   [[nodiscard]] double uplink_seconds(double bytes) const;
-
-  /// Seconds to write @p bytes to local storage.
-  [[nodiscard]] double storage_write_seconds(double bytes) const;
 
   /// Disk-checkpoint IO cost in "forward-step units" for the disk-revolve
   /// solver: time to write/read one checkpoint of @p checkpoint_bytes

@@ -211,66 +211,6 @@ Shape GlobalAvgPool::output_shape(const Shape& in) const {
   return Shape{in[0], in[1]};
 }
 
-AvgPool2d::AvgPool2d(std::int64_t kernel, std::int64_t stride,
-                     std::int64_t pad)
-    : kernel_(kernel), params_{stride, pad} {}
-
-Tensor AvgPool2d::forward(const Tensor& x, const RunContext& ctx) {
-  if (ctx.save_for_backward) {
-    saved_x_shape_ = x.shape();
-    has_saved_ = true;
-  } else {
-    has_saved_ = false;
-  }
-  return ops::avgpool2d_forward(x, kernel_, params_);
-}
-
-Tensor AvgPool2d::backward(const Tensor& grad_out) {
-  if (!has_saved_) no_saved_state();
-  has_saved_ = false;
-  return ops::avgpool2d_backward(grad_out, kernel_, params_, saved_x_shape_);
-}
-
-Shape AvgPool2d::output_shape(const Shape& in) const {
-  return Shape{in[0], in[1],
-               ops::conv_out_size(in[2], kernel_, params_.stride, params_.pad),
-               ops::conv_out_size(in[3], kernel_, params_.stride, params_.pad)};
-}
-
-Tensor Sigmoid::forward(const Tensor& x, const RunContext& ctx) {
-  Tensor y = ops::sigmoid_forward(x);
-  if (ctx.save_for_backward) {
-    saved_y_ = y;
-  } else {
-    saved_y_.reset();
-  }
-  return y;
-}
-
-Tensor Sigmoid::backward(const Tensor& grad_out) {
-  if (!saved_y_.defined()) no_saved_state();
-  Tensor gx = ops::sigmoid_backward(grad_out, saved_y_);
-  saved_y_.reset();
-  return gx;
-}
-
-Tensor Tanh::forward(const Tensor& x, const RunContext& ctx) {
-  Tensor y = ops::tanh_forward(x);
-  if (ctx.save_for_backward) {
-    saved_y_ = y;
-  } else {
-    saved_y_.reset();
-  }
-  return y;
-}
-
-Tensor Tanh::backward(const Tensor& grad_out) {
-  if (!saved_y_.defined()) no_saved_state();
-  Tensor gx = ops::tanh_backward(grad_out, saved_y_);
-  saved_y_.reset();
-  return gx;
-}
-
 Dropout::Dropout(float rate, std::uint64_t seed) : rate_(rate), seed_(seed) {
   if (rate < 0.0F || rate >= 1.0F) {
     throw std::invalid_argument("Dropout: rate must be in [0,1)");

@@ -138,49 +138,6 @@ class GlobalAvgPool final : public Layer {
   bool has_saved_ = false;
 };
 
-/// Windowed average pooling (count includes padding).
-class AvgPool2d final : public Layer {
- public:
-  AvgPool2d(std::int64_t kernel, std::int64_t stride, std::int64_t pad);
-  [[nodiscard]] std::string name() const override { return "avgpool2d"; }
-  [[nodiscard]] Tensor forward(const Tensor& x, const RunContext& ctx) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] Shape output_shape(const Shape& in) const override;
-  void clear_saved() override { has_saved_ = false; }
-
- private:
-  std::int64_t kernel_;
-  ops::ConvParams params_;
-  Shape saved_x_shape_;
-  bool has_saved_ = false;
-};
-
-class Sigmoid final : public Layer {
- public:
-  Sigmoid() = default;
-  [[nodiscard]] std::string name() const override { return "sigmoid"; }
-  [[nodiscard]] Tensor forward(const Tensor& x, const RunContext& ctx) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] Shape output_shape(const Shape& in) const override { return in; }
-  void clear_saved() override { saved_y_.reset(); }
-
- private:
-  Tensor saved_y_;
-};
-
-class Tanh final : public Layer {
- public:
-  Tanh() = default;
-  [[nodiscard]] std::string name() const override { return "tanh"; }
-  [[nodiscard]] Tensor forward(const Tensor& x, const RunContext& ctx) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] Shape output_shape(const Shape& in) const override { return in; }
-  void clear_saved() override { saved_y_.reset(); }
-
- private:
-  Tensor saved_y_;
-};
-
 /// Inverted dropout whose mask is a pure function of (layer seed,
 /// pass_token): checkpointed recomputation of the same pass regenerates
 /// the identical mask, so gradients stay bit-identical to full storage

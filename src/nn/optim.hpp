@@ -56,7 +56,6 @@ class SGD final : public Optimizer {
   [[nodiscard]] std::size_t state_bytes() const override;
   [[nodiscard]] OptimizerState mutable_state() override;
 
-  void set_lr(float lr) noexcept { lr_ = lr; }
   [[nodiscard]] float lr() const noexcept { return lr_; }
 
  private:
@@ -75,7 +74,6 @@ class Adam final : public Optimizer {
   [[nodiscard]] std::size_t state_bytes() const override;
   [[nodiscard]] OptimizerState mutable_state() override;
 
-  void set_lr(float lr) noexcept { lr_ = lr; }
   [[nodiscard]] float lr() const noexcept { return lr_; }
 
  private:

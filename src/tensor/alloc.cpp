@@ -19,17 +19,11 @@ MemoryTracker& MemoryTracker::instance() noexcept {
   return tracker;
 }
 
-void MemoryTracker::bump_total_peak() noexcept {
-  raise_peak(total_peak_, current_.load(std::memory_order_relaxed) +
-                              scratch_current_.load(std::memory_order_relaxed));
-}
-
 void MemoryTracker::on_alloc(std::size_t bytes) noexcept {
   allocations_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t now =
       current_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   raise_peak(peak_, now);
-  bump_total_peak();
 }
 
 void MemoryTracker::on_free(std::size_t bytes) noexcept {
@@ -38,10 +32,7 @@ void MemoryTracker::on_free(std::size_t bytes) noexcept {
 
 void MemoryTracker::on_scratch_alloc(std::size_t bytes) noexcept {
   scratch_allocations_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t now =
-      scratch_current_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  raise_peak(scratch_peak_, now);
-  bump_total_peak();
+  scratch_current_.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 void MemoryTracker::on_scratch_free(std::size_t bytes) noexcept {
@@ -51,11 +42,6 @@ void MemoryTracker::on_scratch_free(std::size_t bytes) noexcept {
 void MemoryTracker::reset_peak() noexcept {
   peak_.store(current_.load(std::memory_order_relaxed),
               std::memory_order_relaxed);
-  scratch_peak_.store(scratch_current_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-  total_peak_.store(current_.load(std::memory_order_relaxed) +
-                        scratch_current_.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
 }
 
 ScopedPeakProbe::ScopedPeakProbe() noexcept {

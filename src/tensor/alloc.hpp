@@ -24,11 +24,10 @@ namespace edgetrain {
 ///    im2col/col2im buffers. Bounded, reused across steps, and zero new
 ///    allocations in steady-state training.
 ///
-/// The legacy accessors (current_bytes, peak_bytes, allocation_count) keep
-/// their original persistent-only semantics; scratch has parallel accessors
-/// and total_* reports the inclusive view.
+/// The peak is tracked for persistent bytes only; scratch has live-byte and
+/// allocation-count accessors, and total_bytes() reports the inclusive view.
 ///
-/// Thread-safe: counters are atomics; peaks are maintained with CAS loops.
+/// Thread-safe: counters are atomics; the peak is maintained with a CAS loop.
 class MemoryTracker {
  public:
   /// The global tracker used by all Tensor storage.
@@ -66,17 +65,6 @@ class MemoryTracker {
     return peak_.load(std::memory_order_relaxed);
   }
 
-  /// Scratch high-water mark since construction or the last reset_peak().
-  [[nodiscard]] std::size_t scratch_peak_bytes() const noexcept {
-    return scratch_peak_.load(std::memory_order_relaxed);
-  }
-
-  /// High-water mark of persistent + scratch live bytes (tracked jointly,
-  /// not the sum of the two individual peaks).
-  [[nodiscard]] std::size_t total_peak_bytes() const noexcept {
-    return total_peak_.load(std::memory_order_relaxed);
-  }
-
   /// Number of persistent allocations since construction.
   [[nodiscard]] std::uint64_t allocation_count() const noexcept {
     return allocations_.load(std::memory_order_relaxed);
@@ -88,27 +76,23 @@ class MemoryTracker {
     return scratch_allocations_.load(std::memory_order_relaxed);
   }
 
-  /// Reset all high-water marks to the current live sizes.
+  /// Reset the persistent high-water mark to the current live size.
   void reset_peak() noexcept;
 
  private:
-  void bump_total_peak() noexcept;
-
   // memory_order_relaxed throughout is intentional, not an optimisation
   // oversight: these are pure statistics counters. No thread ever uses a
   // counter value to decide that *other* memory is safe to read (nothing is
   // published through them), so the only property needed is atomicity of
-  // each individual update. The peaks tolerate a documented, benign
-  // cross-thread approximation: a concurrent alloc/free pair can make
-  // total_peak_ momentarily over- or under-shoot by the in-flight delta,
-  // which is why ScopedPeakProbe is specified for single-threaded regions.
+  // each individual update. The peak is raised from each fetch_add's own
+  // result, so it never misses a value current_ held; ScopedPeakProbe is
+  // specified for single-threaded regions because it resets that one
+  // process-wide peak.
   std::atomic<std::size_t> current_{0};
   std::atomic<std::size_t> peak_{0};
   std::atomic<std::uint64_t> allocations_{0};
   std::atomic<std::size_t> scratch_current_{0};
-  std::atomic<std::size_t> scratch_peak_{0};
   std::atomic<std::uint64_t> scratch_allocations_{0};
-  std::atomic<std::size_t> total_peak_{0};
 };
 
 /// Measures the peak number of live bytes over a lexical region.

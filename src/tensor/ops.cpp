@@ -878,115 +878,6 @@ Tensor global_avgpool_backward(const Tensor& grad_y, const Shape& x_shape) {
   return gx;
 }
 
-Tensor avgpool2d_forward(const Tensor& x, std::int64_t k,
-                         const ConvParams& p) {
-  const std::int64_t n = x.shape()[0];
-  const std::int64_t c = x.shape()[1];
-  const std::int64_t h = x.shape()[2];
-  const std::int64_t w = x.shape()[3];
-  const std::int64_t ho = conv_out_size(h, k, p.stride, p.pad);
-  const std::int64_t wo = conv_out_size(w, k, p.stride, p.pad);
-  Tensor y = Tensor::empty(Shape{n, c, ho, wo});
-  const float* xp = x.data();
-  float* yp = y.data();
-  const float inv = 1.0F / static_cast<float>(k * k);
-  for (std::int64_t plane = 0; plane < n * c; ++plane) {
-    const float* src = xp + plane * h * w;
-    float* dst = yp + plane * ho * wo;
-    for (std::int64_t oy = 0; oy < ho; ++oy) {
-      for (std::int64_t ox = 0; ox < wo; ++ox) {
-        double acc = 0.0;
-        for (std::int64_t ky = 0; ky < k; ++ky) {
-          const std::int64_t iy = oy * p.stride - p.pad + ky;
-          if (iy < 0 || iy >= h) continue;
-          for (std::int64_t kx = 0; kx < k; ++kx) {
-            const std::int64_t ix = ox * p.stride - p.pad + kx;
-            if (ix < 0 || ix >= w) continue;
-            acc += src[iy * w + ix];
-          }
-        }
-        dst[oy * wo + ox] = static_cast<float>(acc) * inv;
-      }
-    }
-  }
-  return y;
-}
-
-Tensor avgpool2d_backward(const Tensor& grad_y, std::int64_t k,
-                          const ConvParams& p, const Shape& x_shape) {
-  const std::int64_t n = x_shape[0];
-  const std::int64_t c = x_shape[1];
-  const std::int64_t h = x_shape[2];
-  const std::int64_t w = x_shape[3];
-  const std::int64_t ho = grad_y.shape()[2];
-  const std::int64_t wo = grad_y.shape()[3];
-  Tensor gx = Tensor::zeros(x_shape);
-  const float* gy = grad_y.data();
-  float* gp = gx.data();
-  const float inv = 1.0F / static_cast<float>(k * k);
-  for (std::int64_t plane = 0; plane < n * c; ++plane) {
-    const float* src = gy + plane * ho * wo;
-    float* dst = gp + plane * h * w;
-    for (std::int64_t oy = 0; oy < ho; ++oy) {
-      for (std::int64_t ox = 0; ox < wo; ++ox) {
-        const float g = src[oy * wo + ox] * inv;
-        for (std::int64_t ky = 0; ky < k; ++ky) {
-          const std::int64_t iy = oy * p.stride - p.pad + ky;
-          if (iy < 0 || iy >= h) continue;
-          for (std::int64_t kx = 0; kx < k; ++kx) {
-            const std::int64_t ix = ox * p.stride - p.pad + kx;
-            if (ix < 0 || ix >= w) continue;
-            dst[iy * w + ix] += g;
-          }
-        }
-      }
-    }
-  }
-  return gx;
-}
-
-Tensor sigmoid_forward(const Tensor& x) {
-  Tensor y = Tensor::empty(x.shape());
-  const float* xp = x.data();
-  float* yp = y.data();
-  const std::int64_t n = x.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    yp[i] = 1.0F / (1.0F + std::exp(-xp[i]));
-  }
-  return y;
-}
-
-Tensor sigmoid_backward(const Tensor& grad_y, const Tensor& y) {
-  Tensor gx = Tensor::empty(y.shape());
-  const float* gy = grad_y.data();
-  const float* yp = y.data();
-  float* gp = gx.data();
-  const std::int64_t n = y.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    gp[i] = gy[i] * yp[i] * (1.0F - yp[i]);
-  }
-  return gx;
-}
-
-Tensor tanh_forward(const Tensor& x) {
-  Tensor y = Tensor::empty(x.shape());
-  const float* xp = x.data();
-  float* yp = y.data();
-  const std::int64_t n = x.numel();
-  for (std::int64_t i = 0; i < n; ++i) yp[i] = std::tanh(xp[i]);
-  return y;
-}
-
-Tensor tanh_backward(const Tensor& grad_y, const Tensor& y) {
-  Tensor gx = Tensor::empty(y.shape());
-  const float* gy = grad_y.data();
-  const float* yp = y.data();
-  float* gp = gx.data();
-  const std::int64_t n = y.numel();
-  for (std::int64_t i = 0; i < n; ++i) gp[i] = gy[i] * (1.0F - yp[i] * yp[i]);
-  return gx;
-}
-
 namespace {
 /// SplitMix64: high-quality counter-based hash; uniform in [0, 1).
 inline float unit_hash(std::uint64_t seed, std::uint64_t index) {

@@ -144,23 +144,6 @@ struct MaxPoolResult {
 [[nodiscard]] Tensor global_avgpool_backward(const Tensor& grad_y,
                                              const Shape& x_shape);
 
-/// Windowed average pooling (count includes padding, PyTorch default).
-[[nodiscard]] Tensor avgpool2d_forward(const Tensor& x, std::int64_t k,
-                                       const ConvParams& p);
-[[nodiscard]] Tensor avgpool2d_backward(const Tensor& grad_y, std::int64_t k,
-                                        const ConvParams& p,
-                                        const Shape& x_shape);
-
-/// y = 1 / (1 + exp(-x)).
-[[nodiscard]] Tensor sigmoid_forward(const Tensor& x);
-/// grad_x = grad_y * y * (1 - y), from the saved output.
-[[nodiscard]] Tensor sigmoid_backward(const Tensor& grad_y, const Tensor& y);
-
-/// y = tanh(x).
-[[nodiscard]] Tensor tanh_forward(const Tensor& x);
-/// grad_x = grad_y * (1 - y^2), from the saved output.
-[[nodiscard]] Tensor tanh_backward(const Tensor& grad_y, const Tensor& y);
-
 /// Inverted dropout driven by a counter-based generator: element i keeps
 /// its value (scaled by 1/(1-rate)) iff hash(seed, i) maps above rate.
 /// Deterministic in (seed, i): recomputation with the same seed reproduces

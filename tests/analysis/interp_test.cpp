@@ -1,7 +1,7 @@
 // Tests for the schedule abstract interpreter: clean verdicts on every
 // scheduler family (with each family's analytic bounds attached), and one
 // targeted malformed schedule per invariant class.
-#include "analysis/interp.hpp"
+#include "core/replay.hpp"
 
 #include <gtest/gtest.h>
 
@@ -18,16 +18,16 @@ using core::Action;
 using core::ActionType;
 using core::Schedule;
 
-bool has_error(const Report& report, Check check) {
-  for (const Finding& f : report.findings) {
-    if (f.severity == Severity::Error && f.check == check) return true;
+bool has_error(const core::Report& report, core::Check check) {
+  for (const core::Finding& f : report.findings) {
+    if (f.severity == core::Severity::Error && f.check == check) return true;
   }
   return false;
 }
 
-bool has_warning(const Report& report, Check check) {
-  for (const Finding& f : report.findings) {
-    if (f.severity == Severity::Warning && f.check == check) return true;
+bool has_warning(const core::Report& report, core::Check check) {
+  for (const core::Finding& f : report.findings) {
+    if (f.severity == core::Severity::Warning && f.check == check) return true;
   }
   return false;
 }
@@ -36,12 +36,12 @@ TEST(InterpRevolve, CleanUnderTightBounds) {
   for (int l = 1; l <= 12; ++l) {
     for (int s = 0; s <= l - 1 || s == 0; ++s) {
       const Schedule schedule = core::revolve::make_schedule(l, s);
-      Bounds bounds;
+      core::Bounds bounds;
       bounds.max_memory_units = s + 1;
       bounds.max_ram_slots = s + 1;
       bounds.max_total_cost = static_cast<double>(
           core::revolve::forward_cost(l, s) + l);
-      const Report report = interpret(schedule, CostModel{}, bounds);
+      const core::Report report = core::interpret(schedule, core::CostModel{}, bounds);
       ASSERT_TRUE(report.ok()) << "l=" << l << " s=" << s << "\n"
                                << report.summary();
       EXPECT_EQ(report.facts.backwards, l);
@@ -62,7 +62,7 @@ TEST(InterpRevolve, PeakMemoryMatchesPlannerBound) {
     int l, s;
   } cases[] = {{2, 1}, {8, 2}, {16, 3}, {32, 5}, {64, 7}};
   for (const auto& c : cases) {
-    const Report report = interpret(core::revolve::make_schedule(c.l, c.s));
+    const core::Report report = core::interpret(core::revolve::make_schedule(c.l, c.s));
     const int exact = c.s == c.l - 1 ? c.s : c.s + 1;
     EXPECT_EQ(report.facts.peak_memory_units, exact)
         << "l=" << c.l << " s=" << c.s;
@@ -73,13 +73,13 @@ TEST(InterpSequential, PeakMemoryMatchesPaperFormula) {
   for (int l = 1; l <= 20; ++l) {
     for (int seg = 1; seg <= l; ++seg) {
       const Schedule schedule = core::seq::make_schedule(l, seg);
-      Bounds bounds;
+      core::Bounds bounds;
       bounds.max_memory_units =
           static_cast<int>(core::seq::memory_units(l, seg));
       bounds.max_ram_slots = seg;
       bounds.max_total_cost =
           static_cast<double>(core::seq::forward_cost(l, seg) + l);
-      const Report report = interpret(schedule, CostModel{}, bounds);
+      const core::Report report = core::interpret(schedule, core::CostModel{}, bounds);
       ASSERT_TRUE(report.ok()) << "l=" << l << " seg=" << seg << "\n"
                                << report.summary();
       EXPECT_EQ(report.facts.peak_memory_units,
@@ -94,13 +94,13 @@ TEST(InterpHetero, CleanUnderSolverBounds) {
   const int l = static_cast<int>(costs.size());
   const core::hetero::HeteroSolver solver(costs, l - 1);
   for (int s = 0; s <= l - 1; ++s) {
-    CostModel cost;
+    core::CostModel cost;
     cost.step_costs = costs;
-    Bounds bounds;
+    core::Bounds bounds;
     bounds.max_memory_units = s + 1;
     bounds.max_ram_slots = s + 1;
     bounds.max_total_cost = solver.forward_cost(s) + solver.sweep_cost();
-    const Report report = interpret(solver.make_schedule(s), cost, bounds);
+    const core::Report report = core::interpret(solver.make_schedule(s), cost, bounds);
     ASSERT_TRUE(report.ok()) << "s=" << s << "\n" << report.summary();
   }
 }
@@ -112,15 +112,15 @@ TEST(InterpDisk, CleanAndIoCharged) {
   options.read_cost = 0.5;
   const int l = 24;
   const core::disk::DiskRevolveSolver solver(l, options);
-  CostModel cost;
+  core::CostModel cost;
   cost.first_disk_slot = options.ram_slots + 1;
   cost.disk_write_cost = options.write_cost;
   cost.disk_read_cost = options.read_cost;
-  Bounds bounds;
+  core::Bounds bounds;
   bounds.max_memory_units = options.ram_slots + 1;
   bounds.max_ram_slots = options.ram_slots + 1;
   bounds.max_total_cost = solver.forward_cost() + l;
-  const Report report = interpret(solver.make_schedule(), cost, bounds);
+  const core::Report report = core::interpret(solver.make_schedule(), cost, bounds);
   ASSERT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.facts.peak_disk_slots_in_use, solver.peak_disk_slots());
   if (solver.peak_disk_slots() > 0) {
@@ -143,13 +143,13 @@ Schedule minimal_clean(std::int32_t l) {
 }
 
 TEST(InterpFindings, CleanBaseline) {
-  const Report report = interpret(minimal_clean(3));
+  const core::Report report = core::interpret(minimal_clean(3));
   EXPECT_TRUE(report.ok()) << report.summary();
   // Full storage never revisits the input checkpoint; the only finding is
   // the dead-store warning pointing that out.
   EXPECT_EQ(report.error_count(), 0u) << report.summary();
   ASSERT_EQ(report.findings.size(), 1u) << report.summary();
-  EXPECT_EQ(report.findings[0].check, Check::DeadStore);
+  EXPECT_EQ(report.findings[0].check, core::Check::DeadStore);
 }
 
 TEST(InterpFindings, StepRange) {
@@ -161,8 +161,8 @@ TEST(InterpFindings, StepRange) {
   sch.backward(1);
   sch.backward(0);
   sch.free(0);
-  const Report report = interpret(sch);
-  EXPECT_TRUE(has_error(report, Check::StepRange));
+  const core::Report report = core::interpret(sch);
+  EXPECT_TRUE(has_error(report, core::Check::StepRange));
 }
 
 TEST(InterpFindings, ForwardState) {
@@ -173,8 +173,8 @@ TEST(InterpFindings, ForwardState) {
   sch.backward(1);
   sch.backward(0);
   sch.free(0);
-  const Report report = interpret(sch);
-  EXPECT_TRUE(has_error(report, Check::ForwardState));
+  const core::Report report = core::interpret(sch);
+  EXPECT_TRUE(has_error(report, core::Check::ForwardState));
 }
 
 TEST(InterpFindings, SaveAlreadyLive) {
@@ -185,8 +185,8 @@ TEST(InterpFindings, SaveAlreadyLive) {
   sch.forward_save(0);  // intermediates already live
   sch.backward(0);
   sch.free(0);
-  const Report report = interpret(sch);
-  EXPECT_TRUE(has_error(report, Check::SaveAlreadyLive));
+  const core::Report report = core::interpret(sch);
+  EXPECT_TRUE(has_error(report, core::Check::SaveAlreadyLive));
 }
 
 TEST(InterpFindings, BackwardOrderAndLiveness) {
@@ -197,9 +197,9 @@ TEST(InterpFindings, BackwardOrderAndLiveness) {
   sch.backward(0);  // out of order (expected 1) ...
   sch.backward(1);  // ... and step 1 was never saved
   sch.free(0);
-  const Report report = interpret(sch);
-  EXPECT_TRUE(has_error(report, Check::BackwardOrder));
-  EXPECT_TRUE(has_error(report, Check::BackwardLiveness));
+  const core::Report report = core::interpret(sch);
+  EXPECT_TRUE(has_error(report, core::Check::BackwardOrder));
+  EXPECT_TRUE(has_error(report, core::Check::BackwardLiveness));
 }
 
 TEST(InterpFindings, SeedStateAndConsumedOutput) {
@@ -213,9 +213,9 @@ TEST(InterpFindings, SeedStateAndConsumedOutput) {
   restored.backward(1);
   restored.backward(0);
   restored.free(0);
-  const Report seeded = interpret(restored);
+  const core::Report seeded = core::interpret(restored);
   EXPECT_EQ(seeded.error_count(), 1u) << seeded.summary();
-  EXPECT_TRUE(has_error(seeded, Check::SeedState));
+  EXPECT_TRUE(has_error(seeded, core::Check::SeedState));
 
   Schedule stored(2, 2);
   stored.store(0, 0);
@@ -226,9 +226,9 @@ TEST(InterpFindings, SeedStateAndConsumedOutput) {
   stored.backward(0);
   stored.free(1);
   stored.free(0);
-  const Report consumed = interpret(stored);
-  EXPECT_TRUE(has_error(consumed, Check::StoreState));
-  EXPECT_FALSE(has_error(consumed, Check::SeedState));
+  const core::Report consumed = core::interpret(stored);
+  EXPECT_TRUE(has_error(consumed, core::Check::StoreState));
+  EXPECT_FALSE(has_error(consumed, core::Check::SeedState));
 }
 
 TEST(InterpFindings, SlotRange) {
@@ -236,8 +236,8 @@ TEST(InterpFindings, SlotRange) {
   sch.store(0, 5);  // slot out of range
   sch.forward_save(0);
   sch.backward(0);
-  const Report report = interpret(sch);
-  EXPECT_TRUE(has_error(report, Check::SlotRange));
+  const core::Report report = core::interpret(sch);
+  EXPECT_TRUE(has_error(report, core::Check::SlotRange));
 }
 
 TEST(InterpFindings, StoreState) {
@@ -252,8 +252,8 @@ TEST(InterpFindings, StoreState) {
   sch.backward(0);
   sch.free(1);
   sch.free(0);
-  const Report report = interpret(sch);
-  EXPECT_TRUE(has_error(report, Check::StoreState));
+  const core::Report report = core::interpret(sch);
+  EXPECT_TRUE(has_error(report, core::Check::StoreState));
 }
 
 TEST(InterpFindings, RestoreEmptyAndWrongState) {
@@ -269,9 +269,9 @@ TEST(InterpFindings, RestoreEmptyAndWrongState) {
   sch.backward(0);
   sch.free(1);
   sch.free(0);
-  const Report report = interpret(sch);
-  EXPECT_TRUE(has_error(report, Check::RestoreEmpty));
-  EXPECT_TRUE(has_error(report, Check::RestoreState));
+  const core::Report report = core::interpret(sch);
+  EXPECT_TRUE(has_error(report, core::Check::RestoreEmpty));
+  EXPECT_TRUE(has_error(report, core::Check::RestoreState));
 }
 
 TEST(InterpFindings, RestoreAdoptsClaimedStateWithoutCascade) {
@@ -288,9 +288,9 @@ TEST(InterpFindings, RestoreAdoptsClaimedStateWithoutCascade) {
   sch.backward(0);
   sch.free(1);
   sch.free(0);
-  const Report report = interpret(sch);
+  const core::Report report = core::interpret(sch);
   EXPECT_EQ(report.error_count(), 1u) << report.summary();
-  EXPECT_TRUE(has_error(report, Check::RestoreState));
+  EXPECT_TRUE(has_error(report, core::Check::RestoreState));
 }
 
 TEST(InterpFindings, FreeOrphan) {
@@ -305,9 +305,9 @@ TEST(InterpFindings, FreeOrphan) {
   sch.forward_save(0);
   sch.backward(0);
   sch.free(1);
-  const Report report = interpret(sch);
-  EXPECT_TRUE(has_error(report, Check::FreeOrphan));
-  EXPECT_TRUE(has_error(report, Check::RestoreEmpty));
+  const core::Report report = core::interpret(sch);
+  EXPECT_TRUE(has_error(report, core::Check::FreeOrphan));
+  EXPECT_TRUE(has_error(report, core::Check::RestoreEmpty));
 }
 
 TEST(InterpFindings, Completion) {
@@ -317,34 +317,34 @@ TEST(InterpFindings, Completion) {
   sch.forward_save(1);
   sch.backward(1);  // step 0 never reversed
   sch.free(0);
-  const Report report = interpret(sch);
-  EXPECT_TRUE(has_error(report, Check::Completion));
+  const core::Report report = core::interpret(sch);
+  EXPECT_TRUE(has_error(report, core::Check::Completion));
 }
 
 TEST(InterpFindings, MemoryBound) {
-  Bounds bounds;
+  core::Bounds bounds;
   bounds.max_memory_units = 2;  // full storage of 3 steps peaks at 3
-  const Report report = interpret(minimal_clean(3), CostModel{}, bounds);
-  EXPECT_TRUE(has_error(report, Check::MemoryBound));
+  const core::Report report = core::interpret(minimal_clean(3), core::CostModel{}, bounds);
+  EXPECT_TRUE(has_error(report, core::Check::MemoryBound));
   EXPECT_EQ(report.facts.peak_memory_units, 3);
 }
 
 TEST(InterpFindings, SlotBound) {
   Schedule sch = core::seq::make_schedule(9, 3);
-  Bounds bounds;
+  core::Bounds bounds;
   bounds.max_ram_slots = 2;  // three segment inputs are simultaneously held
-  const Report report = interpret(sch, CostModel{}, bounds);
-  EXPECT_TRUE(has_error(report, Check::SlotBound));
+  const core::Report report = core::interpret(sch, core::CostModel{}, bounds);
+  EXPECT_TRUE(has_error(report, core::Check::SlotBound));
 }
 
 TEST(InterpFindings, WorkBound) {
-  Bounds bounds;
+  core::Bounds bounds;
   bounds.max_total_cost = 5.0;  // full storage of 3 steps costs 3 + 3 - 1
-  Report report = interpret(minimal_clean(3), CostModel{}, bounds);
-  EXPECT_FALSE(has_error(report, Check::WorkBound)) << report.summary();
+  core::Report report = core::interpret(minimal_clean(3), core::CostModel{}, bounds);
+  EXPECT_FALSE(has_error(report, core::Check::WorkBound)) << report.summary();
   bounds.max_total_cost = 4.0;
-  report = interpret(minimal_clean(3), CostModel{}, bounds);
-  EXPECT_TRUE(has_error(report, Check::WorkBound));
+  report = core::interpret(minimal_clean(3), core::CostModel{}, bounds);
+  EXPECT_TRUE(has_error(report, core::Check::WorkBound));
 }
 
 TEST(InterpFindings, WarningsDoNotFail) {
@@ -356,10 +356,10 @@ TEST(InterpFindings, WarningsDoNotFail) {
   sch.free(1);
   sch.free(0);
   sch.free(0);  // already empty: redundant free
-  const Report report = interpret(sch);
+  const core::Report report = core::interpret(sch);
   EXPECT_TRUE(report.ok()) << report.summary();
-  EXPECT_TRUE(has_warning(report, Check::DeadStore));
-  EXPECT_TRUE(has_warning(report, Check::RedundantFree));
+  EXPECT_TRUE(has_warning(report, core::Check::DeadStore));
+  EXPECT_TRUE(has_warning(report, core::Check::RedundantFree));
 }
 
 TEST(InterpCost, PerSlotWeightedUnitsMatchHandComputedPeak) {
@@ -385,34 +385,34 @@ TEST(InterpCost, PerSlotWeightedUnitsMatchHandComputedPeak) {
   sch.free(0);
   ASSERT_EQ(sch.validate(), std::nullopt) << sch.to_string();
 
-  CostModel cost;
+  core::CostModel cost;
   cost.pricing = core::SlotPricing({0.25, 0.5}, 1.0);  // slots 1 and 2
-  Bounds bounds;
+  core::Bounds bounds;
   bounds.max_weighted_units = 1.75;
-  const Report report = interpret(sch, cost, bounds);
+  const core::Report report = core::interpret(sch, cost, bounds);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_DOUBLE_EQ(report.facts.peak_weighted_units, 1.75);
 
   // The bound is tight: shaving it must trip WeightedMemoryBound.
-  Bounds tight;
+  core::Bounds tight;
   tight.max_weighted_units = 1.75 - 1e-3;
-  EXPECT_TRUE(has_error(interpret(sch, cost, tight),
-                        Check::WeightedMemoryBound));
+  EXPECT_TRUE(has_error(core::interpret(sch, cost, tight),
+                        core::Check::WeightedMemoryBound));
 
   // An all-equal measured vector must reproduce the homogeneous scalar
   // pricing exactly.
-  CostModel scalar;
+  core::CostModel scalar;
   scalar.pricing = core::SlotPricing(0.5);
-  CostModel vec;
+  core::CostModel vec;
   vec.pricing = core::SlotPricing({0.5, 0.5}, 1.0);
-  EXPECT_DOUBLE_EQ(interpret(sch, scalar, Bounds{}).facts.peak_weighted_units,
-                   interpret(sch, vec, Bounds{}).facts.peak_weighted_units);
+  EXPECT_DOUBLE_EQ(core::interpret(sch, scalar, core::Bounds{}).facts.peak_weighted_units,
+                   core::interpret(sch, vec, core::Bounds{}).facts.peak_weighted_units);
 
   // Slots past the measured entries cost the fill ratio.
-  CostModel mixed;
+  core::CostModel mixed;
   mixed.pricing = core::SlotPricing({0.25}, 0.5);  // slot 2 at the fill
   EXPECT_DOUBLE_EQ(
-      interpret(sch, mixed, Bounds{}).facts.peak_weighted_units, 1.75);
+      core::interpret(sch, mixed, core::Bounds{}).facts.peak_weighted_units, 1.75);
 }
 
 TEST(InterpCost, DiskIoAccounting) {
@@ -429,11 +429,11 @@ TEST(InterpCost, DiskIoAccounting) {
   sch.backward(0);
   sch.free(2);
   sch.free(0);
-  CostModel cost;
+  core::CostModel cost;
   cost.first_disk_slot = 2;
   cost.disk_write_cost = 3.0;
   cost.disk_read_cost = 5.0;
-  const Report report = interpret(sch, cost);
+  const core::Report report = core::interpret(sch, cost);
   EXPECT_DOUBLE_EQ(report.facts.io_cost, 8.0);
   // The disk slot is excluded from RAM peaks.
   EXPECT_EQ(report.facts.peak_ram_slots_in_use, 1);
@@ -462,12 +462,12 @@ TEST(InterpOverlap, TransfersHideInsideRecompute) {
   sch.backward(0);
   sch.free(1);
   sch.free(0);
-  CostModel cost;
+  core::CostModel cost;
   cost.first_disk_slot = 1;
   cost.disk_write_cost = 0.5;
   cost.disk_read_cost = 0.5;
   cost.overlapped_io = true;
-  const Report report = interpret(sch, cost);
+  const core::Report report = core::interpret(sch, cost);
   EXPECT_EQ(report.error_count(), 0u) << report.summary();
   EXPECT_DOUBLE_EQ(report.facts.io_cost, 0.0);
   EXPECT_DOUBLE_EQ(report.facts.io_busy_cost, 1.0);
@@ -478,7 +478,7 @@ TEST(InterpOverlap, TransfersHideInsideRecompute) {
   // Prefetch disabled: the read cannot be issued until its Restore, so the
   // 0.5-unit read lands on the critical path.
   cost.read_staging_slots = 0;
-  const Report no_prefetch = interpret(sch, cost);
+  const core::Report no_prefetch = core::interpret(sch, cost);
   EXPECT_EQ(no_prefetch.error_count(), 0u) << no_prefetch.summary();
   EXPECT_DOUBLE_EQ(no_prefetch.facts.io_cost, 0.5);
 }
@@ -499,12 +499,12 @@ TEST(InterpOverlap, StagingBackpressureAndFifoWaitsAreCharged) {
   sch.backward(0);  // t=13
   sch.free(2);
   sch.free(1);
-  CostModel cost;
+  core::CostModel cost;
   cost.first_disk_slot = 1;
   cost.disk_write_cost = 4.0;
   cost.disk_read_cost = 4.0;
   cost.overlapped_io = true;
-  const Report report = interpret(sch, cost);
+  const core::Report report = core::interpret(sch, cost);
   EXPECT_EQ(report.error_count(), 0u) << report.summary();
   EXPECT_DOUBLE_EQ(report.facts.io_cost, 10.0);
   EXPECT_DOUBLE_EQ(report.facts.io_busy_cost, 12.0);
@@ -526,14 +526,14 @@ TEST(InterpOverlap, BoundedBySerialModelAndByCompute) {
       options.overlap_io = true;
       const core::disk::DiskRevolveSolver solver(24, options);
       const Schedule schedule = solver.make_schedule();
-      CostModel serial;
+      core::CostModel serial;
       serial.first_disk_slot = ram + 1;
       serial.disk_write_cost = io;
       serial.disk_read_cost = io;
-      CostModel overlapped = serial;
+      core::CostModel overlapped = serial;
       overlapped.overlapped_io = true;
-      const Report s = interpret(schedule, serial);
-      const Report o = interpret(schedule, overlapped);
+      const core::Report s = core::interpret(schedule, serial);
+      const core::Report o = core::interpret(schedule, overlapped);
       ASSERT_EQ(o.error_count(), 0u) << o.summary();
       EXPECT_DOUBLE_EQ(o.facts.io_busy_cost, s.facts.io_cost)
           << "ram=" << ram << " io=" << io;

@@ -9,8 +9,8 @@
 #include <set>
 #include <string>
 
-#include "analysis/interp.hpp"
 #include "analysis/report.hpp"
+#include "core/replay.hpp"
 
 namespace edgetrain::analysis {
 namespace {
@@ -22,7 +22,7 @@ TEST(Sweep, QuickGridsAreCleanAndCoverEveryFamily) {
   std::string first_failure;
   const std::int64_t cases = run_sweep(config, [&](const SweepCase& c) {
     ++per_family[c.family];
-    const Report report = interpret(c.schedule, c.cost, c.bounds);
+    const core::Report report = core::interpret(c.schedule, c.cost, c.bounds);
     if (!report.ok()) {
       ++failures;
       if (first_failure.empty()) {
@@ -52,9 +52,9 @@ TEST(Sweep, SplitFamiliesStoreOnlyWhatTheyRestore) {
       return;
     }
     ++checked;
-    const Report report = interpret(c.schedule, c.cost, c.bounds);
-    for (const Finding& f : report.findings) {
-      if (f.check != Check::DeadStore) continue;
+    const core::Report report = core::interpret(c.schedule, c.cost, c.bounds);
+    for (const core::Finding& f : report.findings) {
+      if (f.check != core::Check::DeadStore) continue;
       const core::Action& store =
           c.schedule.actions()[static_cast<std::size_t>(f.position)];
       EXPECT_EQ(store.slot, 0) << c.family << " [" << c.name << "] "
@@ -87,7 +87,7 @@ TEST(Sweep, EveryCorruptionKindIsDetectedOnQuickGrids) {
       const auto corrupted = corrupt(c, corruption);
       if (!corrupted) continue;
       report.add_injection(c, corruption,
-                           interpret(*corrupted, c.cost, c.bounds));
+                           core::interpret(*corrupted, c.cost, c.bounds));
     }
   });
   EXPECT_GT(report.injections_applied(), 0);
@@ -107,13 +107,13 @@ TEST(Sweep, EveryCorruptionKindIsDetectedOnQuickGrids) {
 
 TEST(Sweep, CorruptionsFireTheirTargetedChecks) {
   // One representative case per family with every action pattern present.
-  std::map<Corruption, Check> expected = {
-      {Corruption::BackwardOutOfOrder, Check::BackwardOrder},
-      {Corruption::DropForwardSave, Check::BackwardLiveness},
-      {Corruption::RestoreWrongState, Check::RestoreState},
-      {Corruption::EarlyFree, Check::FreeOrphan},
-      {Corruption::ExtraStoreOverBudget, Check::MemoryBound},
-      {Corruption::InflateWork, Check::WorkBound},
+  std::map<Corruption, core::Check> expected = {
+      {Corruption::BackwardOutOfOrder, core::Check::BackwardOrder},
+      {Corruption::DropForwardSave, core::Check::BackwardLiveness},
+      {Corruption::RestoreWrongState, core::Check::RestoreState},
+      {Corruption::EarlyFree, core::Check::FreeOrphan},
+      {Corruption::ExtraStoreOverBudget, core::Check::MemoryBound},
+      {Corruption::InflateWork, core::Check::WorkBound},
   };
   std::vector<SweepCase> pool;
   SweepConfig config = SweepConfig::quick();
@@ -130,9 +130,9 @@ TEST(Sweep, CorruptionsFireTheirTargetedChecks) {
       const auto corrupted = corrupt(c, corruption);
       if (!corrupted) continue;
       applied = true;
-      const Report verdict = interpret(*corrupted, c.cost, c.bounds);
-      for (const Finding& f : verdict.findings) {
-        if (f.severity == Severity::Error && f.check == check) fired = true;
+      const core::Report verdict = core::interpret(*corrupted, c.cost, c.bounds);
+      for (const core::Finding& f : verdict.findings) {
+        if (f.severity == core::Severity::Error && f.check == check) fired = true;
       }
     }
     EXPECT_TRUE(applied) << to_string(corruption) << " never applied";
@@ -147,11 +147,11 @@ TEST(Sweep, ReportJsonCarriesVerdicts) {
   std::int64_t seen = 0;
   run_sweep(config, [&](const SweepCase& c) {
     if (seen++ > 20) return;
-    report.add(c, interpret(c.schedule, c.cost, c.bounds));
+    report.add(c, core::interpret(c.schedule, c.cost, c.bounds));
     const auto corrupted = corrupt(c, Corruption::BackwardOutOfOrder);
     if (corrupted) {
       report.add_injection(c, Corruption::BackwardOutOfOrder,
-                           interpret(*corrupted, c.cost, c.bounds));
+                           core::interpret(*corrupted, c.cost, c.bounds));
     }
   });
   EXPECT_TRUE(report.ok());
@@ -178,7 +178,7 @@ TEST(Sweep, ReportJsonCarriesVerdicts) {
     if (failing.total_cases() > 0 || c.schedule.num_steps() < 2) return;
     const auto corrupted = corrupt(c, Corruption::BackwardOutOfOrder);
     if (!corrupted) return;
-    failing.add(c, interpret(*corrupted, c.cost, c.bounds));
+    failing.add(c, core::interpret(*corrupted, c.cost, c.bounds));
   });
   ASSERT_EQ(failing.total_cases(), 1);
   EXPECT_EQ(failing.failed_cases(), 1);

@@ -11,11 +11,11 @@
 #include <string>
 #include <vector>
 
-#include "analysis/interp.hpp"
 #include "calib/calibrate.hpp"
 #include "calib/chain_costs.hpp"
 #include "core/dynprog.hpp"
 #include "core/executor.hpp"
+#include "core/replay.hpp"
 #include "core/revolve.hpp"
 #include "core/tiered_slot_store.hpp"
 #include "models/resnet.hpp"
@@ -84,10 +84,10 @@ TEST(CalibrateSlow, MeasuredPlanBeatsUnitOnPyramid) {
   const core::Schedule unit_schedule =
       core::revolve::make_schedule(depth, kFreeSlots);
 
-  analysis::CostModel cm;
+  core::CostModel cm;
   cm.step_costs = costs.forward_us;
-  const analysis::Report measured = analysis::interpret(measured_schedule, cm);
-  const analysis::Report unit = analysis::interpret(unit_schedule, cm);
+  const core::Report measured = core::interpret(measured_schedule, cm);
+  const core::Report unit = core::interpret(unit_schedule, cm);
   ASSERT_TRUE(measured.ok());
   ASSERT_TRUE(unit.ok());
   // Strict: on a 4x-per-stage pyramid the unit-cost splits are genuinely

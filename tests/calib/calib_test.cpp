@@ -13,13 +13,13 @@
 #include <string>
 #include <vector>
 
-#include "analysis/interp.hpp"
 #include "calib/calibrate.hpp"
 #include "calib/chain_costs.hpp"
 #include "calib/device_model.hpp"
 #include "core/dynprog.hpp"
 #include "core/executor.hpp"
 #include "core/planner.hpp"
+#include "core/replay.hpp"
 #include "core/revolve.hpp"
 #include "core/tiered_slot_store.hpp"
 #include "models/resnet.hpp"
@@ -95,7 +95,6 @@ TEST(DeviceModel, ValidationRules) {
 
 TEST(DeviceModel, InterpolationClampsAtMeasuredEnds) {
   const DeviceModel m = sample_model();
-  EXPECT_EQ(m.calibrated_threads(), 4);
   EXPECT_EQ(m.best_threads(), 4);
   // Below / above the measured range: clamp, never extrapolate.
   EXPECT_DOUBLE_EQ(m.gemm_gflops_at(0), 4.0);
@@ -112,7 +111,6 @@ TEST(DeviceModel, PredictionsAreCalibratedMicroseconds) {
   // 8 GFLOP at 10 GFLOPS = 0.8 s.
   EXPECT_DOUBLE_EQ(m.gemm_us(8e9, 4), 0.8e6);
   EXPECT_DOUBLE_EQ(m.conv_us(2e9, 1), 1e6);
-  EXPECT_DOUBLE_EQ(m.memcpy_us(8e9), 1e6);
   // Spill path: fixed latency + bytes / bandwidth.
   EXPECT_DOUBLE_EQ(m.disk_write_us(50e6), 900.0 + 1e6);
   EXPECT_DOUBLE_EQ(m.disk_read_us(0.0), 400.0);
@@ -280,11 +278,9 @@ TEST(ChainCosts, AggregatesAndValidity) {
   EXPECT_EQ(costs.num_steps(), 3);
   EXPECT_DOUBLE_EQ(costs.sweep_us(), 7.0);
   EXPECT_DOUBLE_EQ(costs.backward_total_us(), 7.0);
-  EXPECT_DOUBLE_EQ(costs.ideal_step_us(), 14.0);
   EXPECT_DOUBLE_EQ(costs.mean_forward_us(), 7.0 / 3.0);
   EXPECT_DOUBLE_EQ(costs.backward_ratio(), 1.0);
   EXPECT_DOUBLE_EQ(costs.mean_boundary_bytes(), 1024.0);
-  EXPECT_DOUBLE_EQ(costs.max_boundary_bytes(), 1024.0);
 
   ChainCosts bad = golden_costs();
   bad.boundary_bytes.push_back(1.0);  // l-1 boundaries required
@@ -330,10 +326,6 @@ TEST(Feeders, StateUnitsAndByteBudget) {
   costs.backward_us = {1.0, 1.0, 1.0, 1.0};
   costs.boundary_bytes = {4096.0, 1024.0, 2048.0};
   EXPECT_EQ(state_units(costs), (std::vector<int>{4, 1, 2}));
-  // Budget in bytes, floored to whole smallest-boundary units.
-  EXPECT_EQ(budget_units_for_bytes(costs, 3000.0), 2);
-  EXPECT_EQ(budget_units_for_bytes(costs, 1023.0), 0);
-  EXPECT_EQ(budget_units_for_bytes(costs, -1.0), 0);
 }
 
 // The measured ChainSpec must switch the planner onto the heterogeneous
@@ -444,7 +436,7 @@ TEST(Feeders, MeasuredSlotRatiosThreadThroughEveryPlannerInput) {
   EXPECT_DOUBLE_EQ(priced.write_cost, m.disk_write_us(1024.0) / mean_fwd_us);
   EXPECT_DOUBLE_EQ(priced.read_cost, m.disk_read_us(1024.0) / mean_fwd_us);
 
-  const analysis::CostModel cm =
+  const core::CostModel cm =
       cost_model(costs, m, 2, core::SlotPricing(ratios, 1.0));
   EXPECT_EQ(cm.pricing.measured(), ratios);
   EXPECT_EQ(cm.first_disk_slot, 2);
@@ -458,12 +450,12 @@ TEST(Feeders, MeasuredSlotRatiosThreadThroughEveryPlannerInput) {
 TEST(Feeders, CostModelPricesSlotOneAtTheFirstMeasuredRatio) {
   const StepRatioStore store(4);
   const std::vector<double> ratios = measured_slot_ratios(store, 1, 3);
-  const analysis::CostModel cm =
+  const core::CostModel cm =
       cost_model(golden_costs(), sample_model(),
                  std::numeric_limits<std::int32_t>::max(),
                  core::SlotPricing(ratios, 1.0));
-  const analysis::Report report =
-      analysis::interpret(core::revolve::make_schedule(3, 1), cm);
+  const core::Report report =
+      core::interpret(core::revolve::make_schedule(3, 1), cm);
   ASSERT_TRUE(report.ok()) << report.summary();
   EXPECT_DOUBLE_EQ(report.facts.peak_weighted_units, 1.0 + ratios[0]);
 }
@@ -471,7 +463,7 @@ TEST(Feeders, CostModelPricesSlotOneAtTheFirstMeasuredRatio) {
 TEST(Feeders, CostModelPredictsScheduleMicroseconds) {
   const DeviceModel m = sample_model();
   const ChainCosts costs = golden_costs();
-  const analysis::CostModel cm = cost_model(costs, m, 2);
+  const core::CostModel cm = cost_model(costs, m, 2);
   EXPECT_EQ(cm.step_costs, costs.forward_us);
   EXPECT_EQ(cm.first_disk_slot, 2);
   EXPECT_DOUBLE_EQ(cm.disk_write_cost, m.disk_write_us(1024.0));
@@ -481,8 +473,8 @@ TEST(Feeders, CostModelPredictsScheduleMicroseconds) {
   // the per-backward re-materialisation saves are absorbed into Backward)
   // plus the full backward sweep.
   const core::hetero::HeteroSolver solver(costs.forward_us, 2);
-  const analysis::Report report =
-      analysis::interpret(solver.make_schedule(2), cost_model(costs, m));
+  const core::Report report =
+      core::interpret(solver.make_schedule(2), cost_model(costs, m));
   EXPECT_TRUE(report.ok());
   EXPECT_DOUBLE_EQ(report.facts.forward_cost, solver.advance_cost(2));
   EXPECT_DOUBLE_EQ(report.facts.forward_cost, 6.0);
@@ -504,14 +496,14 @@ TEST(Property, MeasuredScheduleNeverPredictedCostlier) {
     step_costs.reserve(static_cast<std::size_t>(l));
     for (int i = 0; i < l; ++i) step_costs.push_back(cost_dist(rng));
 
-    analysis::CostModel cm;
+    core::CostModel cm;
     cm.step_costs = step_costs;
     for (int s = 1; s <= 3; ++s) {
       const core::hetero::HeteroSolver solver(step_costs, s);
-      const analysis::Report measured =
-          analysis::interpret(solver.make_schedule(s), cm);
-      const analysis::Report unit =
-          analysis::interpret(core::revolve::make_schedule(l, s), cm);
+      const core::Report measured =
+          core::interpret(solver.make_schedule(s), cm);
+      const core::Report unit =
+          core::interpret(core::revolve::make_schedule(l, s), cm);
       ASSERT_TRUE(measured.ok()) << "l=" << l << " s=" << s;
       ASSERT_TRUE(unit.ok()) << "l=" << l << " s=" << s;
       // The emitted schedule realises the DP's own advance-cost table.

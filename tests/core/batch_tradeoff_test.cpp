@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
+
+#include "core/planner.hpp"
 
 namespace edgetrain::core {
 namespace {
@@ -82,6 +85,68 @@ TEST(BatchTradeoff, SweepMatchesEvaluate) {
   ASSERT_EQ(points.size(), 3U);
   EXPECT_EQ(points[1].batch, 3);
   EXPECT_DOUBLE_EQ(points[2].rho, planner.evaluate(9).rho);
+}
+
+TEST(BatchTradeoff, FitsNoSlotWhenRoomEqualsOneActivation) {
+  // room == k * act leaves exactly the input + frontier plan (s = 0),
+  // which MemoryPlanner and PlanPoint::fits count as a fit.
+  BatchTradeoffConfig config = demo_config();
+  config.capacity_bytes = config.fixed_bytes + 3.0 * 12.0 * kMiB;
+  config.act_bytes_per_sample = 12.0 * kMiB;
+  const BatchTradeoffPlanner planner(config);
+  const BatchPoint point = planner.evaluate(3);
+  EXPECT_TRUE(point.feasible);
+  EXPECT_EQ(point.total_slots, 1);
+  EXPECT_DOUBLE_EQ(point.peak_bytes, config.capacity_bytes);
+}
+
+// The batch sweep prices slots by MemoryPlanner's rule, so at every batch
+// it picks the slot count and rho of the planner's device report for the
+// chain at that batch. Integer-MiB sizes put many cases exactly on a
+// slot boundary.
+TEST(BatchTradeoff, AgreesWithTheMemoryPlannerAtEveryBatch) {
+  std::mt19937 rng(20240611U);
+  std::uniform_int_distribution<int> depth_dist(1, 60);
+  std::uniform_int_distribution<int> fixed_dist(0, 200);
+  std::uniform_int_distribution<int> act_dist(1, 16);
+  std::uniform_int_distribution<int> room_dist(0, 600);
+  int cases = 0;
+  int feasible = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    for (const double fill : {1.0, 0.5}) {
+      BatchTradeoffConfig config;
+      config.depth = depth_dist(rng);
+      config.fixed_bytes = fixed_dist(rng) * kMiB;
+      config.act_bytes_per_sample = act_dist(rng) * kMiB;
+      config.capacity_bytes = config.fixed_bytes + room_dist(rng) * kMiB;
+      config.pricing = SlotPricing(fill);
+      const BatchTradeoffPlanner planner(config);
+      for (std::int64_t k = 1; k <= 24; ++k) {
+        ChainSpec spec;
+        spec.depth = config.depth;
+        spec.fixed_bytes = config.fixed_bytes;
+        spec.activation_bytes_per_step =
+            static_cast<double>(k) * config.act_bytes_per_sample;
+        spec.pricing = config.pricing;
+        const PlanReport report =
+            MemoryPlanner(spec).report_for_device(config.capacity_bytes);
+        const BatchPoint point = planner.evaluate(k);
+        ++cases;
+        ASSERT_EQ(point.feasible, report.fits_with_checkpointing)
+            << "trial " << trial << " batch " << k;
+        if (!point.feasible) continue;
+        ++feasible;
+        EXPECT_EQ(point.total_slots, report.recommended.total_slots)
+            << "trial " << trial << " batch " << k;
+        EXPECT_EQ(point.rho, report.recommended.achieved_rho)
+            << "trial " << trial << " batch " << k;
+        EXPECT_EQ(point.peak_bytes, report.recommended.peak_bytes)
+            << "trial " << trial << " batch " << k;
+        EXPECT_LE(point.peak_bytes, config.capacity_bytes);
+      }
+    }
+  }
+  EXPECT_GT(feasible, cases / 4);
 }
 
 TEST(BatchTradeoff, RejectsBadConfig) {

@@ -8,7 +8,7 @@
 #include <random>
 #include <vector>
 
-#include "analysis/interp.hpp"
+#include "core/replay.hpp"
 #include "core/revolve.hpp"
 #include "core/slot_codec.hpp"
 #include "models/linear_resnet.hpp"
@@ -217,13 +217,13 @@ TEST(MemoryPlanner, CodecPlansStrictlyLowerRhoOnLinearResNets) {
     // so the byte bound fixed + units * act really holds at execution time.
     const int s = comp_report.recommended.free_slots;
     const Schedule schedule = revolve::make_schedule(linear.depth, s);
-    analysis::CostModel cost;
+    core::CostModel cost;
     cost.pricing = SlotPricing(0.5);
-    analysis::Bounds bounds;
+    core::Bounds bounds;
     bounds.max_weighted_units = 1.0 + 0.5 * static_cast<double>(s);
     bounds.max_ram_slots = s + 1;
-    const analysis::Report verdict =
-        analysis::interpret(schedule, cost, bounds);
+    const core::Report verdict =
+        core::interpret(schedule, cost, bounds);
     EXPECT_EQ(verdict.error_count(), 0)
         << linear.name << "\n" << verdict.summary();
     EXPECT_LE(linear.fixed_bytes + verdict.facts.peak_weighted_units *

@@ -252,12 +252,6 @@ TEST(MinFreeSlots, RhoOneRequiresFullStorage) {
   EXPECT_EQ(min_free_slots_for_rho(20, 0.5), 19);
 }
 
-TEST(MinFreeSlots, ForCostSemantics) {
-  EXPECT_EQ(min_free_slots_for_cost(10, 9), -1);   // below the sweep cost
-  EXPECT_EQ(min_free_slots_for_cost(10, 10), 9);   // rho = 1
-  EXPECT_EQ(min_free_slots_for_cost(10, 55), 0);   // quadratic fallback fits
-}
-
 // The classic sub-linear memory result: with s ~ log2(l) slots the work
 // stays within a small constant of the ideal.
 TEST(ForwardCost, LogarithmicSlotsGiveSmallRho) {

@@ -18,10 +18,10 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/interp.hpp"
 #include "core/disk_revolve.hpp"
 #include "core/dynprog.hpp"
 #include "core/executor.hpp"
+#include "core/replay.hpp"
 #include "core/revolve.hpp"
 #include "core/sequential.hpp"
 #include "core/tiered_slot_store.hpp"
@@ -184,11 +184,11 @@ TEST_P(ScheduleFuzzTest, RandomSchedulesValidateAndMatchFullStorage) {
     // The abstract interpreter must prove the schedule sound: every
     // backward consumes a live intermediate, every restore reads claimed
     // state, and the activation peak stays within the slot budget.
-    analysis::Bounds bounds;
+    core::Bounds bounds;
     bounds.max_memory_units = s + 1;
     bounds.max_ram_slots = s + 1;
-    const analysis::Report verdict =
-        analysis::interpret(schedule, analysis::CostModel{}, bounds);
+    const core::Report verdict =
+        core::interpret(schedule, core::CostModel{}, bounds);
     EXPECT_EQ(verdict.error_count(), 0)
         << "seed=" << GetParam() << " iter=" << iter << "\n"
         << verdict.summary();
@@ -255,17 +255,17 @@ TEST(ScheduleFuzzDiskTest, DiskRevolveSchedulesInterpretCleanAndMatch) {
     ASSERT_EQ(schedule.validate(), std::nullopt)
         << "iter=" << iter << "\n" << schedule.to_string();
 
-    analysis::CostModel cost;
+    core::CostModel cost;
     cost.first_disk_slot = ram + 1;
     cost.disk_write_cost = options.write_cost;
     cost.disk_read_cost = options.read_cost;
-    analysis::Bounds bounds;
+    core::Bounds bounds;
     bounds.max_memory_units = ram + 1;
     bounds.max_ram_slots = ram + 1;
     bounds.max_total_cost =
         solver.forward_cost() + static_cast<double>(l);
-    const analysis::Report verdict =
-        analysis::interpret(schedule, cost, bounds);
+    const core::Report verdict =
+        core::interpret(schedule, cost, bounds);
     EXPECT_EQ(verdict.error_count(), 0)
         << "iter=" << iter << " ram=" << ram << "\n" << verdict.summary();
 
@@ -361,21 +361,21 @@ TEST(ScheduleFuzzDiskTest, AsyncStoreMatchesFullStorageWithinStagingBudget) {
     // only accrue while the IO worker is busy, so the pipeline wall-clock
     // can never exceed the serial total of the same schedule; staging adds
     // at most the write budget on top of the planner's activation units.
-    analysis::CostModel cost;
+    core::CostModel cost;
     cost.first_disk_slot = ram + 1;
     cost.disk_write_cost = options.write_cost;
     cost.disk_read_cost = options.read_cost;
     cost.overlapped_io = true;
-    analysis::CostModel serial = cost;
+    core::CostModel serial = cost;
     serial.overlapped_io = false;
-    const analysis::Report serial_verdict =
-        analysis::interpret(schedule, serial, analysis::Bounds{});
-    analysis::Bounds bounds;
+    const core::Report serial_verdict =
+        core::interpret(schedule, serial, core::Bounds{});
+    core::Bounds bounds;
     bounds.max_memory_units = ram + 1 + cost.write_staging_slots;
     bounds.max_ram_slots = ram + 1;
     bounds.max_total_cost = serial_verdict.facts.total_cost();
-    const analysis::Report verdict =
-        analysis::interpret(schedule, cost, bounds);
+    const core::Report verdict =
+        core::interpret(schedule, cost, bounds);
     EXPECT_EQ(verdict.error_count(), 0)
         << "iter=" << iter << " ram=" << ram << "\n" << verdict.summary();
     EXPECT_LE(verdict.facts.io_cost, verdict.facts.io_busy_cost + 1e-9)
@@ -844,7 +844,7 @@ TEST_P(ScheduleFuzzStoreMatrixTest, AllFamiliesBitIdenticalWithinInterpBound) {
           << c.name << " grad=" << g;
     }
 
-    analysis::CostModel cost;
+    core::CostModel cost;
     int staging = 0;
     if (config.spill) {
       cost.first_disk_slot = c.first_disk_slot;
@@ -853,8 +853,8 @@ TEST_P(ScheduleFuzzStoreMatrixTest, AllFamiliesBitIdenticalWithinInterpBound) {
       cost.read_staging_slots = store_options.read_staging_slots;
       staging = cost.write_staging_slots + cost.read_staging_slots;
     }
-    const analysis::Report verdict =
-        analysis::interpret(c.schedule, cost, analysis::Bounds{});
+    const core::Report verdict =
+        core::interpret(c.schedule, cost, core::Bounds{});
     EXPECT_EQ(verdict.error_count(), 0) << c.name << "\n" << verdict.summary();
     const auto resting =
         static_cast<std::size_t>(verdict.facts.peak_ram_slots_in_use + staging);

@@ -74,6 +74,23 @@ TEST(Strategy, Fp16KeepsTheFrontierInPlaintext) {
   EXPECT_EQ(rec.feasibility, Feasibility::Infeasible);
 }
 
+TEST(Strategy, Fp16BatchSuggestionFitsTheDevice) {
+  // The fp16 rung halves the resting slots, never the live frontier: the
+  // suggested batch's plan, priced the same way, must fit the device.
+  // Halving the whole activation instead suggested batch 8 with 5 slots,
+  // whose real peak is 50 + 8 * 5 * (1 + 0.5 * 4) = 170 MiB > 150 MiB.
+  const double device_mib = 150.0;
+  const auto rec =
+      recommend_strategy(request(chain(50.0, 5.0), device_mib, 1.2));
+  ASSERT_EQ(rec.feasibility, Feasibility::FitsWithCompressedSlots);
+  ChainSpec at_batch =
+      chain(50.0, 5.0 * static_cast<double>(rec.recommended_batch));
+  at_batch.pricing = SlotPricing(0.5);
+  const PlanPoint plan = MemoryPlanner(at_batch).plan_for_rho(rec.batch_rho);
+  EXPECT_LE(plan.peak_bytes, device_mib * kMiB)
+      << "batch " << rec.recommended_batch << " rho " << rec.batch_rho;
+}
+
 TEST(Strategy, StorageEnablesDiskSpill) {
   // rho budget of 1.01 is unreachable in RAM for a big model, but a node
   // with an SD card can spill.

@@ -110,30 +110,6 @@ TEST(ReLULayer, GradCheck) {
   EXPECT_TRUE(result.passed) << "max rel err " << result.max_rel_error;
 }
 
-TEST(AvgPoolLayer, GradCheck) {
-  std::mt19937 rng(191);
-  AvgPool2d layer(2, 2, 0);
-  Tensor x = Tensor::randn(Shape{2, 3, 6, 6}, rng);
-  const GradCheckResult result = check_layer(layer, x, rng);
-  EXPECT_TRUE(result.passed) << "max rel err " << result.max_rel_error;
-}
-
-TEST(SigmoidLayer, GradCheck) {
-  std::mt19937 rng(193);
-  Sigmoid layer;
-  Tensor x = Tensor::randn(Shape{2, 8}, rng);
-  const GradCheckResult result = check_layer(layer, x, rng);
-  EXPECT_TRUE(result.passed) << "max rel err " << result.max_rel_error;
-}
-
-TEST(TanhLayer, GradCheck) {
-  std::mt19937 rng(197);
-  Tanh layer;
-  Tensor x = Tensor::randn(Shape{2, 8}, rng);
-  const GradCheckResult result = check_layer(layer, x, rng);
-  EXPECT_TRUE(result.passed) << "max rel err " << result.max_rel_error;
-}
-
 TEST(DropoutLayer, IdentityInEval) {
   std::mt19937 rng(199);
   Dropout layer(0.5F);

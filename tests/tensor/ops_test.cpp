@@ -561,48 +561,6 @@ TEST(SoftmaxXent, NumericallyStableForLargeLogits) {
   EXPECT_NEAR(r.probs.at(0) + r.probs.at(1), 1.0F, 1e-5F);
 }
 
-TEST(AvgPool, ForwardAveragesAndBackwardSpreads) {
-  Tensor x = Tensor::zeros(Shape{1, 1, 4, 4});
-  for (std::int64_t i = 0; i < 16; ++i) x.data()[i] = static_cast<float>(i);
-  Tensor y = avgpool2d_forward(x, 2, ConvParams{2, 0});
-  EXPECT_EQ(y.shape(), (Shape{1, 1, 2, 2}));
-  EXPECT_FLOAT_EQ(y.data()[0], (0 + 1 + 4 + 5) / 4.0F);
-  EXPECT_FLOAT_EQ(y.data()[3], (10 + 11 + 14 + 15) / 4.0F);
-
-  Tensor gy = Tensor::full(Shape{1, 1, 2, 2}, 4.0F);
-  Tensor gx = avgpool2d_backward(gy, 2, ConvParams{2, 0}, x.shape());
-  for (std::int64_t i = 0; i < 16; ++i) EXPECT_FLOAT_EQ(gx.data()[i], 1.0F);
-}
-
-TEST(AvgPool, PaddedWindowsCountPadding) {
-  Tensor x = Tensor::full(Shape{1, 1, 2, 2}, 4.0F);
-  // 3x3 window, pad 1: the corner window sees 4 real pixels out of 9.
-  Tensor y = avgpool2d_forward(x, 3, ConvParams{1, 1});
-  EXPECT_FLOAT_EQ(y.data()[0], 4.0F * 4.0F / 9.0F);
-}
-
-TEST(Sigmoid, KnownValuesAndGradient) {
-  Tensor x = Tensor::from_values({0.0F, 100.0F, -100.0F});
-  Tensor y = sigmoid_forward(x);
-  EXPECT_FLOAT_EQ(y.at(0), 0.5F);
-  EXPECT_NEAR(y.at(1), 1.0F, 1e-6F);
-  EXPECT_NEAR(y.at(2), 0.0F, 1e-6F);
-  Tensor g = Tensor::full(Shape{3}, 1.0F);
-  Tensor gx = sigmoid_backward(g, y);
-  EXPECT_FLOAT_EQ(gx.at(0), 0.25F);  // y(1-y) at y=0.5
-  EXPECT_NEAR(gx.at(1), 0.0F, 1e-6F);
-}
-
-TEST(Tanh, KnownValuesAndGradient) {
-  Tensor x = Tensor::from_values({0.0F, 1.0F});
-  Tensor y = tanh_forward(x);
-  EXPECT_FLOAT_EQ(y.at(0), 0.0F);
-  EXPECT_NEAR(y.at(1), std::tanh(1.0F), 1e-6F);
-  Tensor g = Tensor::full(Shape{2}, 1.0F);
-  Tensor gx = tanh_backward(g, y);
-  EXPECT_FLOAT_EQ(gx.at(0), 1.0F);  // 1 - tanh(0)^2
-}
-
 TEST(Dropout, DeterministicForSeed) {
   std::mt19937 rng(71);
   Tensor x = Tensor::randn(Shape{1024}, rng);

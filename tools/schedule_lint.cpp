@@ -25,16 +25,16 @@
 #include <iostream>
 #include <string>
 
-#include "analysis/interp.hpp"
 #include "analysis/report.hpp"
 #include "analysis/sweep.hpp"
+#include "core/replay.hpp"
 
 namespace {
 
-using edgetrain::analysis::Bounds;
+using edgetrain::core::Bounds;
 using edgetrain::analysis::Corruption;
 using edgetrain::analysis::kAllCorruptions;
-using edgetrain::analysis::Report;
+using edgetrain::core::Report;
 using edgetrain::analysis::SweepCase;
 using edgetrain::analysis::SweepConfig;
 using edgetrain::analysis::SweepReport;
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
             const auto corrupted = edgetrain::analysis::corrupt(sweep_case,
                                                                 corruption);
             if (!corrupted) continue;
-            const Report verdict = edgetrain::analysis::interpret(
+            const Report verdict = edgetrain::core::interpret(
                 *corrupted, sweep_case.cost, sweep_case.bounds);
             if (opt.inject) {
               // Injection mode lints the corrupted schedule as if it were
@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
           }
           return;
         }
-        report.add(sweep_case, edgetrain::analysis::interpret(
+        report.add(sweep_case, edgetrain::core::interpret(
                                    sweep_case.schedule, sweep_case.cost,
                                    sweep_case.bounds));
       });
